@@ -6,6 +6,20 @@ used three ways: :func:`infer_shape` runs the shape rules only,
 :func:`evaluate` computes values, and :func:`vjp` / :func:`jacobian`
 differentiate.
 
+Each node class is a dataclass of its fields: those annotated ``Expr`` are
+its operands, in order, and the others are its static parameters.
+:class:`Expr` derives children, equality and :meth:`Expr.with_children`
+from that declaration.  A node whose ``kernel`` names an :mod:`ntensor.ops`
+function evaluates as that kernel applied to its operand values and then
+its parameters, and infers its shape through the kernel's shape rule
+(``<kernel>_shape`` unless ``rule`` names another); both are looked up on
+the ``ops`` module at call time.  Beyond its fields, a node class holds only
+real shape or kernel glue and its VJP rule.
+
+Random literals (``random over (axes)``) have a shape but no values here:
+:func:`ntensor.lang.run_program` replaces them with seeded constants before
+evaluating, and evaluating one that was not replaced raises.
+
 Derivatives follow the named-axis convention: the derivative of ``Y`` (shape
 ``T``) with respect to variable ``X`` (shape ``S``) is a tensor over ``S``
 together with a *primed* copy of ``T`` -- every output name that collides
@@ -24,7 +38,7 @@ Differentiating through ``det``/``inv`` is unsupported and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
@@ -67,50 +81,101 @@ class ExprError(NamedTensorError):
 
 
 class Context:
-    """Carries the axis-size table and the literal generator during walks."""
+    """Carries the axis-size table during walks."""
 
-    __slots__ = ("axis_sizes", "rng", "require_declared")
+    __slots__ = ("axis_sizes", "require_declared")
 
     def __init__(self, axis_sizes: Optional[Mapping[str, int]] = None,
-                 rng: Optional[SplitMix64] = None,
                  require_declared: bool = False):
         self.axis_sizes = dict(axis_sizes) if axis_sizes else {}
-        self.rng = rng
         self.require_declared = require_declared
 
-    def size_of(self, name: str) -> int:
+    def size_of(self, name: str, given: Optional[int] = None) -> int:
+        """``given`` when it is not None, else the declared size of ``name``."""
+        if given is not None:
+            return given
         if name not in self.axis_sizes:
             raise MissingAxis(f"axis {name!r} has no declared size")
         return self.axis_sizes[name]
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable after creation."""
+    """Base class for expression nodes.  Nodes are immutable after creation.
+
+    Every subclass is made a dataclass when it is defined; see the module
+    docstring for what its field declarations mean.  Fields annotated
+    ``tuple`` are stored as tuples.
+    """
 
     kind = "expr"
+    kernel: Optional[str] = None  # name of the ops function computing the node
+    rule: Optional[str] = None  # its shape rule's name, if not kernel + "_shape"
+    # For a node whose first parameter picks its kernel: {parameter value:
+    # kernel name}.  That parameter is then not passed to the kernel.
+    OPS: Optional[Mapping[str, str]] = None
+    span = None  # (line, col), set by the language parser
 
-    def __init__(self):
-        self.span = None  # (line, col), set by the language parser
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(eq=False, repr=False)(cls)
+        declared = fields(cls)  # annotations are strings under __future__
+        cls._operands = tuple(f.name for f in declared if f.type == "Expr")
+        cls._params = tuple(f.name for f in declared if f.type != "Expr")
+        cls._tuples = tuple(f.name for f in declared if f.type == "tuple")
+
+    def __post_init__(self):
+        for name in self._tuples:
+            setattr(self, name, tuple(getattr(self, name)))
+        if self.OPS is not None:
+            which = getattr(self, self._params[0])
+            if which not in self.OPS:
+                raise ValueError(f"unknown {self.kind} op {which!r}")
+            self.kernel = self.OPS[which]
+        self._children = tuple([getattr(self, name) for name in self._operands])
 
     def children(self) -> tuple:
-        return ()
+        return self._children
 
     def _key(self) -> tuple:
-        return ()
+        return tuple([getattr(self, name) for name in self._params])
+
+    def with_children(self, kids: Sequence["Expr"]) -> "Expr":
+        """This node with its operands replaced by ``kids``; the span is kept."""
+        new = replace(self, **dict(zip(self._operands, kids)))
+        new.span = self.span
+        return new
+
+    def _args(self, shape: Shape, ctx: Context) -> tuple:
+        """The static arguments the kernel and its shape rule take after the
+        operands; ``shape`` is the first operand's."""
+        key = self._key()
+        return key[1:] if self.OPS is not None else key
 
     def _infer(self, child_shapes, ctx: Context, env) -> Shape:
-        raise NotImplementedError
+        rule = getattr(ops, self.rule or self.kernel + "_shape")
+        return rule(*child_shapes, *self._args(child_shapes[0], ctx))
 
     def _eval(self, child_values, ctx: Context, env) -> NamedTensor:
-        raise NotImplementedError
+        args = self._args(child_values[0].shape, ctx)
+        return getattr(ops, self.kernel)(*child_values, *args)
 
     def _grads(self, g: NamedTensor, child_values, value: NamedTensor, ctx: Context):
         raise NotImplementedError
 
     def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented if not isinstance(other, Expr) else False
-        return self._key() == other._key() and self.children() == other.children()
+        """Structural equality; spans never take part."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            x, y = pairs.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            if type(x) is not type(y) or x._key() != y._key():
+                return False
+            pairs.extend(zip(x._children, y._children))
+        return True
 
     # operator sugar -------------------------------------------------------
 
@@ -160,13 +225,7 @@ def wrap(value) -> Expr:
 
 class Var(Expr):
     kind = "var"
-
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
-
-    def _key(self):
-        return (self.name,)
+    name: str
 
     def _infer(self, child_shapes, ctx, env):
         if self.name not in env:
@@ -179,31 +238,23 @@ class Var(Expr):
             raise UnboundVariable(f"variable {self.name!r} is not bound")
         return as_tensor(env[self.name])
 
-    def _grads(self, g, child_values, value, ctx):
-        return ()
-
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
 class Const(Expr):
     kind = "const"
+    value: NamedTensor
 
-    def __init__(self, value: NamedTensor):
-        super().__init__()
-        self.value = as_tensor(value)
-
-    def _key(self):
-        return (self.value,)
+    def __post_init__(self):
+        self.value = as_tensor(self.value)
+        super().__post_init__()
 
     def _infer(self, child_shapes, ctx, env):
         return self.value.shape
 
     def _eval(self, child_values, ctx, env):
         return self.value
-
-    def _grads(self, g, child_values, value, ctx):
-        return ()
 
 
 def _freeze(values):
@@ -216,14 +267,12 @@ class Literal(Expr):
     """A nested-list tensor literal; nesting level i binds axis_names[i]."""
 
     kind = "literal"
+    values: object
+    axis_names: tuple
 
-    def __init__(self, values, axis_names: Sequence[str]):
-        super().__init__()
-        self.values = _freeze(values)
-        self.axis_names = tuple(axis_names)
-
-    def _key(self):
-        return (self.values, self.axis_names)
+    def __post_init__(self):
+        self.values = _freeze(self.values)
+        super().__post_init__()
 
     def _build(self) -> NamedTensor:
         try:
@@ -255,55 +304,30 @@ class Literal(Expr):
     def _eval(self, child_values, ctx, env):
         return self._build()
 
-    def _grads(self, g, child_values, value, ctx):
-        return ()
-
 
 class RandomLiteral(Expr):
-    """A seeded uniform [-1, 1) tensor over declared axes."""
+    """Uniform [-1, 1) values over declared axes, drawn by ``lang.run_program``."""
 
     kind = "random"
+    axis_names: tuple
 
-    def __init__(self, axis_names: Sequence[str]):
-        super().__init__()
-        self.axis_names = tuple(axis_names)
-
-    def _key(self):
-        return (self.axis_names,)
-
-    def _shape(self, ctx) -> Shape:
+    def _infer(self, child_shapes, ctx, env):
         try:
             return Shape(Axis(n, ctx.size_of(n)) for n in self.axis_names)
         except ValueError as e:
             raise ShapeError(str(e)) from None
 
-    def _infer(self, child_shapes, ctx, env):
-        return self._shape(ctx)
-
     def _eval(self, child_values, ctx, env):
-        shape = self._shape(ctx)
-        if ctx.rng is None:
-            raise NamedTensorError("random literal needs a seeded generator")
-        flat = [ctx.rng.next_symmetric() for _ in range(
-            math.prod(shape.size(n) for n in self.axis_names))]
-        arr = np.asarray(flat).reshape([shape.size(n) for n in self.axis_names])
-        return NamedTensor.from_array(arr, self.axis_names)
-
-    def _grads(self, g, child_values, value, ctx):
-        return ()
+        raise NamedTensorError(
+            "random literal has no values; lang.run_program draws them"
+        )
 
 
 class SizeOf(Expr):
     """The size of a declared axis, as a scalar."""
 
     kind = "size"
-
-    def __init__(self, axis_name: str):
-        super().__init__()
-        self.axis_name = axis_name
-
-    def _key(self):
-        return (self.axis_name,)
+    axis_name: str
 
     def _infer(self, child_shapes, ctx, env):
         ctx.size_of(self.axis_name)
@@ -311,9 +335,6 @@ class SizeOf(Expr):
 
     def _eval(self, child_values, ctx, env):
         return NamedTensor.scalar(ctx.size_of(self.axis_name))
-
-    def _grads(self, g, child_values, value, ctx):
-        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -341,31 +362,13 @@ def _fit(t: NamedTensor, target: Shape) -> NamedTensor:
 
 class Unary(Expr):
     kind = "unary"
-    OPS = ("neg", "relu", "sigma", "exp", "log", "sqrt")
-
-    def __init__(self, op: str, child: Expr):
-        super().__init__()
-        if op not in self.OPS:
-            raise ValueError(f"unknown unary op {op!r}")
-        self.op = op
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.op,)
+    OPS = {"neg": "neg", "relu": "relu", "sigma": "sigmoid",
+           "exp": "exp", "log": "log", "sqrt": "sqrt"}
+    op: str
+    child: Expr
 
     def _infer(self, child_shapes, ctx, env):
         return child_shapes[0]
-
-    def _eval(self, child_values, ctx, env):
-        (x,) = child_values
-        fn = {
-            "neg": ops.neg, "relu": ops.relu, "sigma": ops.sigmoid,
-            "exp": ops.exp, "log": ops.log, "sqrt": ops.sqrt,
-        }[self.op]
-        return fn(x)
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -389,30 +392,11 @@ class Unary(Expr):
 
 class Binary(Expr):
     kind = "binary"
-    OPS = ("add", "sub", "mul", "div", "pow")
-
-    def __init__(self, op: str, a: Expr, b: Expr):
-        super().__init__()
-        if op not in self.OPS:
-            raise ValueError(f"unknown binary op {op!r}")
-        self.op = op
-        self.a = a
-        self.b = b
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _key(self):
-        return (self.op,)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.binary_shape(child_shapes[0], child_shapes[1])
-
-    def _eval(self, child_values, ctx, env):
-        a, b = child_values
-        fn = {"add": ops.add, "sub": ops.sub, "mul": ops.mul,
-              "div": ops.div, "pow": ops.pow_}[self.op]
-        return fn(a, b)
+    OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div", "pow": "pow_"}
+    rule = "binary_shape"
+    op: str
+    a: Expr
+    b: Expr
 
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
@@ -441,26 +425,18 @@ class Binary(Expr):
 
 class Reduce(Expr):
     kind = "reduce"
+    kernel = "reduce"
+    red: str
+    axes: tuple
+    child: Expr
 
-    def __init__(self, red: str, axes: Sequence[str], child: Expr):
-        super().__init__()
-        if red not in ops.REDUCE_KINDS:
-            raise ValueError(f"unknown reduction {red!r}")
-        self.red = red
-        self.axes = tuple(axes)
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.red, self.axes)
+    def __post_init__(self):
+        if self.red not in ops.REDUCE_KINDS:
+            raise ValueError(f"unknown reduction {self.red!r}")
+        super().__post_init__()
 
     def _infer(self, child_shapes, ctx, env):
         return ops.reduce_shape(child_shapes[0], self.axes)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.reduce(child_values[0], self.red, self.axes)
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -510,24 +486,10 @@ def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndar
 
 class Contract(Expr):
     kind = "contract"
-
-    def __init__(self, axes: Sequence[str], a: Expr, b: Expr):
-        super().__init__()
-        self.axes = tuple(axes)
-        self.a = a
-        self.b = b
-
-    def children(self):
-        return (self.a, self.b)
-
-    def _key(self):
-        return (self.axes,)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.contract_shape(child_shapes[0], child_shapes[1], self.axes)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.contract(child_values[0], child_values[1], self.axes)
+    kernel = "contract"
+    axes: tuple
+    a: Expr
+    b: Expr
 
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
@@ -539,23 +501,9 @@ class Contract(Expr):
 
 class Softmax(Expr):
     kind = "softmax"
-
-    def __init__(self, axes: Sequence[str], child: Expr):
-        super().__init__()
-        self.axes = tuple(axes)
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.axes,)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.softmax_shape(child_shapes[0], self.axes)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.softmax(child_values[0], self.axes)
+    kernel = "softmax"
+    axes: tuple
+    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
         y = value
@@ -565,27 +513,11 @@ class Softmax(Expr):
 
 class ArgExtremum(Expr):
     kind = "argextremum"
-
-    def __init__(self, which: str, axes: Sequence[str], child: Expr):
-        super().__init__()
-        if which not in ("argmax", "argmin"):
-            raise ValueError(which)
-        self.which = which
-        self.axes = tuple(axes)
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.which, self.axes)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.softmax_shape(child_shapes[0], self.axes)
-
-    def _eval(self, child_values, ctx, env):
-        fn = ops.argmax if self.which == "argmax" else ops.argmin
-        return fn(child_values[0], self.axes)
+    OPS = {"argmax": "argmax", "argmin": "argmin"}
+    rule = "softmax_shape"
+    which: str
+    axes: tuple
+    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
         return (None,)
@@ -593,24 +525,17 @@ class ArgExtremum(Expr):
 
 class Standardize(Expr):
     kind = "standardize"
+    kernel = "standardize"
+    axes: tuple
+    child: Expr
+    eps: float = 1e-5
 
-    def __init__(self, axes: Sequence[str], child: Expr, eps: float = 1e-5):
-        super().__init__()
-        self.axes = tuple(axes)
-        self.eps = float(eps)
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.axes, self.eps)
+    def __post_init__(self):
+        self.eps = float(self.eps)
+        super().__post_init__()
 
     def _infer(self, child_shapes, ctx, env):
         return ops.standardize_shape(child_shapes[0], self.axes)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.standardize(child_values[0], self.axes, self.eps)
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -632,24 +557,10 @@ class Standardize(Expr):
 
 class Rename(Expr):
     kind = "rename"
-
-    def __init__(self, old: str, new: str, child: Expr):
-        super().__init__()
-        self.old = old
-        self.new = new
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.old, self.new)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.rename_shape(child_shapes[0], self.old, self.new)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.rename(child_values[0], self.old, self.new)
+    kernel = "rename"
+    old: str
+    new: str
+    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
         return (ops.rename(g, self.new, self.old),)
@@ -657,32 +568,16 @@ class Rename(Expr):
 
 class Merge(Expr):
     kind = "merge"
+    kernel = "merge_axes"
+    rule = "merge_shape"
+    parts: tuple
+    merged_name: str
+    child: Expr
 
-    def __init__(self, parts: Sequence[str], merged_name: str, child: Expr):
-        super().__init__()
-        self.parts = tuple(parts)
-        self.merged_name = merged_name
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.parts, self.merged_name)
-
-    def _merged_axis(self, child_shape: Shape) -> Axis:
-        size = math.prod(child_shape.size(p) for p in self.parts)
-        return Axis(self.merged_name, size)
-
-    def _infer(self, child_shapes, ctx, env):
-        ops._check_axis_list(child_shapes[0], self.parts)
-        return ops.merge_shape(
-            child_shapes[0], self.parts, self._merged_axis(child_shapes[0])
-        )
-
-    def _eval(self, child_values, ctx, env):
-        x = child_values[0]
-        return ops.merge_axes(x, self.parts, self._merged_axis(x.shape))
+    def _args(self, shape, ctx):
+        ops._check_axis_list(shape, self.parts)
+        size = math.prod(shape.size(p) for p in self.parts)
+        return (self.parts, Axis(self.merged_name, size))
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -697,39 +592,23 @@ class Merge(Expr):
 
 class Split(Expr):
     kind = "split"
+    kernel = "split_axis"
+    rule = "split_shape"
+    src: str
+    outer_name: str
+    inner_name: str
+    child: Expr
+    inner_size: Optional[int] = None
 
-    def __init__(self, src: str, outer_name: str, inner_name: str, child: Expr,
-                 inner_size: Optional[int] = None):
-        super().__init__()
-        self.src = src
-        self.outer_name = outer_name
-        self.inner_name = inner_name
-        self.inner_size = inner_size
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.src, self.outer_name, self.inner_name, self.inner_size)
-
-    def _axes(self, child_shape: Shape, ctx: Context):
-        n = child_shape.size(self.src)
-        inner = self.inner_size if self.inner_size is not None else ctx.size_of(self.inner_name)
+    def _args(self, shape, ctx):
+        n = shape.size(self.src)
+        inner = ctx.size_of(self.inner_name, self.inner_size)
         if inner < 1 or n % inner != 0:
             raise SizeMismatch(
-                f"cannot split {self.src}[{n}] into blocks of {inner}", child_shape
+                f"cannot split {self.src}[{n}] into blocks of {inner}", shape
             )
-        return Axis(self.outer_name, n // inner), Axis(self.inner_name, inner)
-
-    def _infer(self, child_shapes, ctx, env):
-        outer, inner = self._axes(child_shapes[0], ctx)
-        return ops.split_shape(child_shapes[0], self.src, outer, inner)
-
-    def _eval(self, child_values, ctx, env):
-        x = child_values[0]
-        outer, inner = self._axes(x.shape, ctx)
-        return ops.split_axis(x, self.src, outer, inner)
+        outer = Axis(self.outer_name, n // inner)
+        return (self.src, outer, Axis(self.inner_name, inner))
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -739,30 +618,15 @@ class Split(Expr):
 
 class Unroll(Expr):
     kind = "unroll"
+    kernel = "unroll"
+    seq: str
+    kernel_name: str
+    child: Expr
+    kernel_size: Optional[int] = None
 
-    def __init__(self, seq: str, kernel_name: str, child: Expr,
-                 kernel_size: Optional[int] = None):
-        super().__init__()
-        self.seq = seq
-        self.kernel_name = kernel_name
-        self.kernel_size = kernel_size
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.seq, self.kernel_name, self.kernel_size)
-
-    def _kernel(self, ctx: Context) -> Axis:
-        size = self.kernel_size if self.kernel_size is not None else ctx.size_of(self.kernel_name)
-        return Axis(self.kernel_name, size)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.unroll_shape(child_shapes[0], self.seq, self._kernel(ctx))
-
-    def _eval(self, child_values, ctx, env):
-        return ops.unroll(child_values[0], self.seq, self._kernel(ctx))
+    def _args(self, shape, ctx):
+        size = ctx.size_of(self.kernel_name, self.kernel_size)
+        return (self.seq, Axis(self.kernel_name, size))
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
@@ -770,7 +634,7 @@ class Unroll(Expr):
         seq_pos = x.shape.names.index(self.seq)
         k_pos = g.shape.names.index(self.kernel_name)
         length = g.shape.size(self.seq)
-        for j in range(self._kernel(ctx).size):
+        for j in range(ctx.size_of(self.kernel_name, self.kernel_size)):
             gj = np.take(g.array, j, axis=k_pos)
             sl = [slice(None)] * out.ndim
             sl[seq_pos] = slice(j, j + length)
@@ -780,18 +644,9 @@ class Unroll(Expr):
 
 class IndexSelect(Expr):
     kind = "index_select"
-
-    def __init__(self, ax: str, a: Expr, indices: Expr):
-        super().__init__()
-        self.ax = ax
-        self.a = a
-        self.indices = indices
-
-    def children(self):
-        return (self.a, self.indices)
-
-    def _key(self):
-        return (self.ax,)
+    ax: str
+    a: Expr
+    indices: Expr
 
     def _infer(self, child_shapes, ctx, env):
         return ops.index_select_shape(child_shapes[0], self.ax, child_shapes[1])
@@ -815,36 +670,26 @@ class IndexSelect(Expr):
         return (NamedTensor(a.shape, arranged), None)
 
 
-class MaxK(Expr):
-    kind = "maxk"
+class TopK(Expr):
+    """The k largest values along an axis (``maxk``), or one-hot selectors
+    for them (``argmaxk``)."""
 
-    def __init__(self, ax: str, k_name: str, child: Expr,
-                 k_size: Optional[int] = None):
-        super().__init__()
-        self.ax = ax
-        self.k_name = k_name
-        self.k_size = k_size
-        self.child = child
+    kind = "topk"
+    OPS = {"maxk": "maxk", "argmaxk": "argmaxk"}
+    which: str
+    ax: str
+    k_name: str
+    child: Expr
+    k_size: Optional[int] = None
 
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.ax, self.k_name, self.k_size)
-
-    def _k(self, ctx: Context) -> Axis:
-        size = self.k_size if self.k_size is not None else ctx.size_of(self.k_name)
-        return Axis(self.k_name, size)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.maxk_shape(child_shapes[0], self.ax, self._k(ctx))
-
-    def _eval(self, child_values, ctx, env):
-        return ops.maxk(child_values[0], self.ax, self._k(ctx))
+    def _args(self, shape, ctx):
+        return (self.ax, Axis(self.k_name, ctx.size_of(self.k_name, self.k_size)))
 
     def _grads(self, g, child_values, value, ctx):
+        if self.which == "argmaxk":
+            return (None,)
         (x,) = child_values
-        k = self._k(ctx)
+        _, k = self._args(x.shape, ctx)
         pos = x.shape.names.index(self.ax)
         top = ops._top_order(x, self.ax, k)
         shuttle = [self.k_name if n == self.ax else n for n in x.shape.names]
@@ -854,101 +699,32 @@ class MaxK(Expr):
         return (NamedTensor(x.shape, out),)
 
 
-class ArgMaxK(Expr):
-    kind = "argmaxk"
+class LinAlg(Expr):
+    """Determinant (``det``) or inverse (``inv``) over a (rows, cols) matrix."""
 
-    def __init__(self, ax: str, k_name: str, child: Expr,
-                 k_size: Optional[int] = None):
-        super().__init__()
-        self.ax = ax
-        self.k_name = k_name
-        self.k_size = k_size
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.ax, self.k_name, self.k_size)
-
-    def _k(self, ctx: Context) -> Axis:
-        size = self.k_size if self.k_size is not None else ctx.size_of(self.k_name)
-        return Axis(self.k_name, size)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.argmaxk_shape(child_shapes[0], self.ax, self._k(ctx))
-
-    def _eval(self, child_values, ctx, env):
-        return ops.argmaxk(child_values[0], self.ax, self._k(ctx))
+    kind = "linalg"
+    OPS = {"det": "det", "inv": "inv"}
+    which: str
+    rows: str
+    cols: str
+    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
-        return (None,)
-
-
-class Det(Expr):
-    kind = "det"
-
-    def __init__(self, rows: str, cols: str, child: Expr):
-        super().__init__()
-        self.rows = rows
-        self.cols = cols
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.rows, self.cols)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.det_shape(child_shapes[0], self.rows, self.cols)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.det(child_values[0], self.rows, self.cols)
-
-    def _grads(self, g, child_values, value, ctx):
-        raise UnsupportedDerivative("differentiation through det is not supported")
-
-
-class Inv(Expr):
-    kind = "inv"
-
-    def __init__(self, rows: str, cols: str, child: Expr):
-        super().__init__()
-        self.rows = rows
-        self.cols = cols
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.rows, self.cols)
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.inv_shape(child_shapes[0], self.rows, self.cols)
-
-    def _eval(self, child_values, ctx, env):
-        return ops.inv(child_values[0], self.rows, self.cols)
-
-    def _grads(self, g, child_values, value, ctx):
-        raise UnsupportedDerivative("differentiation through inv is not supported")
+        raise UnsupportedDerivative(
+            f"differentiation through {self.which} is not supported"
+        )
 
 
 class PartialIndex(Expr):
     kind = "partial_index"
+    bindings: tuple
+    child: Expr
 
-    def __init__(self, bindings, child: Expr):
-        super().__init__()
-        items = bindings.items() if isinstance(bindings, Mapping) else bindings
+    def __post_init__(self):
+        items = self.bindings.items() if isinstance(self.bindings, Mapping) \
+            else self.bindings
         self.bindings = tuple(sorted((str(n), int(i)) for n, i in items))
-        self.child = child
-
-    def children(self):
-        return (self.child,)
-
-    def _key(self):
-        return (self.bindings,)
+        super().__post_init__()
 
     def _infer(self, child_shapes, ctx, env):
         return ops.partial_index_shape(child_shapes[0], dict(self.bindings))
@@ -976,7 +752,7 @@ def var(name: str) -> Var:
 
 
 def const(value) -> Const:
-    return Const(as_tensor(value))
+    return Const(value)
 
 
 def literal(values, axis_names: Sequence[str]) -> Literal:
@@ -1105,19 +881,19 @@ def index_select(a, ax: str, indices) -> Expr:
 
 
 def maxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return MaxK(ax, k_name, wrap(a), k_size)
+    return TopK("maxk", ax, k_name, wrap(a), k_size)
 
 
 def argmaxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return ArgMaxK(ax, k_name, wrap(a), k_size)
+    return TopK("argmaxk", ax, k_name, wrap(a), k_size)
 
 
 def det(a, rows: str, cols: str) -> Expr:
-    return Det(rows, cols, wrap(a))
+    return LinAlg("det", rows, cols, wrap(a))
 
 
 def inv(a, rows: str, cols: str) -> Expr:
-    return Inv(rows, cols, wrap(a))
+    return LinAlg("inv", rows, cols, wrap(a))
 
 
 def partial_index(a, bindings) -> Expr:
@@ -1151,36 +927,32 @@ def _normalize_env(env) -> dict:
 def infer_shape(e: Expr, env=None, *, axis_sizes=None, require_declared=False) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
     ctx = Context(axis_sizes, require_declared=require_declared)
-    env = _normalize_env(env)
-    shapes: Dict[int, Shape] = {}
-    for node in _topo(e):
-        try:
-            child_shapes = [shapes[id(c)] for c in node.children()]
-            shapes[id(node)] = node._infer(child_shapes, ctx, env)
-        except ExprError:
-            raise
-        except NamedTensorError as err:
-            raise ExprError(node, err) from err
+    _, shapes = _forward(e, _normalize_env(env), ctx, "_infer")
     return shapes[id(e)]
 
 
-def _forward(e: Expr, env, ctx: Context):
+def _forward(e: Expr, env, ctx: Context, step: str = "_eval"):
+    """Apply ``node._eval`` (or ``step``) to every node, children first.
+
+    Returns the ``_topo`` order and each node's result by ``id``; an error
+    is re-raised as an :class:`ExprError` naming the node that raised it.
+    """
     order = _topo(e)
-    vals: Dict[int, NamedTensor] = {}
+    out: dict = {}
     for node in order:
         try:
-            child_values = [vals[id(c)] for c in node.children()]
-            vals[id(node)] = node._eval(child_values, ctx, env)
+            kids = [out[id(c)] for c in node.children()]
+            out[id(node)] = getattr(node, step)(kids, ctx, env)
         except ExprError:
             raise
         except NamedTensorError as err:
             raise ExprError(node, err) from err
-    return order, vals
+    return order, out
 
 
-def evaluate(e: Expr, env=None, *, axis_sizes=None, rng=None) -> NamedTensor:
+def evaluate(e: Expr, env=None, *, axis_sizes=None) -> NamedTensor:
     """Evaluate the expression under the given variable bindings."""
-    ctx = Context(axis_sizes, rng)
+    ctx = Context(axis_sizes)
     _, vals = _forward(e, _normalize_env(env), ctx)
     return vals[id(e)]
 
@@ -1197,6 +969,8 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
             if node.name == wrt:
                 total = g if total is None else ops.add(total, g)
             continue
+        if not node.children():
+            continue
         try:
             grads = node._grads(
                 g, [vals[id(c)] for c in node.children()], vals[id(node)], ctx
@@ -1211,7 +985,7 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
     return total if total is not None else NamedTensor.zeros(var_shape)
 
 
-def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None, rng=None) -> NamedTensor:
+def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
     """Contract a cotangent against the derivative of ``e`` w.r.t. ``wrt``.
 
     The cotangent must have exactly ``e``'s shape; the result has the
@@ -1221,7 +995,7 @@ def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None, rng=None) -> Name
     env = _normalize_env(env)
     if wrt not in env:
         raise UnboundVariable(f"variable {wrt!r} is not bound")
-    ctx = Context(axis_sizes, rng)
+    ctx = Context(axis_sizes)
     order, vals = _forward(e, env, ctx)
     cotangent = as_tensor(cotangent)
     if cotangent.shape != vals[id(e)].shape:
@@ -1249,13 +1023,13 @@ class Derivative:
     rename_map: dict
 
 
-def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None, rng=None) -> Derivative:
+def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     """The dense derivative of ``e`` with respect to variable ``wrt``."""
     env = _normalize_env(env)
     if wrt not in env:
         raise UnboundVariable(f"variable {wrt!r} is not bound")
     var_shape = as_tensor(env[wrt]).shape
-    ctx = Context(axis_sizes, rng)
+    ctx = Context(axis_sizes)
     order, vals = _forward(e, env, ctx)
     out_shape = vals[id(e)].shape
 

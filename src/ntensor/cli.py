@@ -4,6 +4,10 @@ Subcommands: ``check`` (static diagnostics, exit 0 iff clean), ``eval``
 (run a program and print each ``print``-directive tensor), ``grad``
 (print a derivative tensor), and ``zoo`` (list or run the reference
 fixtures against their loop oracles).
+
+Exit codes: 0 on success; 1 for diagnostics, a failed fixture or a
+reported error; 2 for a usage error; 3 for an internal error, printed as
+one ``error: internal: <Type>: <message>`` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from . import lang
 from .errors import NamedTensorError
 
 __all__ = ["main"]
+
+INTERNAL_ERROR = 3  # exit code for an exception no handler expects
 
 
 def _load(path: str) -> lang.Program:
@@ -115,6 +121,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except Exception as err:  # the CLI reports every failure as one line
+        message = " ".join(str(err).split())
+        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

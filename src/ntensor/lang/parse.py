@@ -102,9 +102,14 @@ _ELEMENTWISE = frozenset({"relu", "sigma", "exp", "log", "neg"})
 
 
 class _Parser:
+    # Parentheses, call arguments and literal brackets nest at most this
+    # deep; each level costs a few stack frames of recursive descent.
+    MAX_DEPTH = 100
+
     def __init__(self, tokens: List[Token]):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -130,6 +135,15 @@ class _Parser:
                 tok.line, tok.col, f"{tok.text!r} is a reserved word"
             )
         return tok
+
+    def open(self, tok: Token) -> None:
+        """Enter one nesting level at the opening token ``tok``."""
+        if self.depth == self.MAX_DEPTH:
+            raise ParseError(
+                tok.line, tok.col,
+                f"expression nests deeper than {self.MAX_DEPTH} levels",
+            )
+        self.depth += 1
 
     # -- statements --------------------------------------------------------
 
@@ -277,9 +291,10 @@ class _Parser:
                 return self._spanned(ad.Const(-float(nxt.text)), tok)
             raise ParseError(tok.line, tok.col, "'-' here must prefix 'inf' or a number")
         if tok.kind == "(":
-            self.advance()
+            self.open(self.advance())
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "[":
             return self.literal()
@@ -296,9 +311,10 @@ class _Parser:
             if nxt.kind == "(":
                 if tok.text == "sqrt":
                     self.advance()
-                    self.advance()
+                    self.open(self.advance())
                     node = self.expr()
                     self.expect(")")
+                    self.depth -= 1
                     return self._spanned(ad.Unary("sqrt", node), tok)
                 if tok.text == "size":
                     self.advance()
@@ -320,12 +336,13 @@ class _Parser:
         self.expect("{")
         axes = self.axis_list()
         self.expect("}")
-        self.expect("(")
+        self.open(self.expect("("))
         args = [self.expr()]
         while self.peek().kind == ",":
             self.advance()
             args.append(self.expr())
-        close = self.expect(")")
+        self.expect(")")
+        self.depth -= 1
         node = self._build_call(name, axes, args)
         return self._spanned(node, name)
 
@@ -383,13 +400,11 @@ class _Parser:
         if fn in ("maxk", "argmaxk"):
             arity(1)
             axis_count(2)
-            cls = ad.MaxK if fn == "maxk" else ad.ArgMaxK
-            return cls(axes[0], axes[1], args[0])
+            return ad.TopK(fn, axes[0], axes[1], args[0])
         if fn in ("det", "inv"):
             arity(1)
             axis_count(2)
-            cls = ad.Det if fn == "det" else ad.Inv
-            return cls(axes[0], axes[1], args[0])
+            return ad.LinAlg(fn, axes[0], axes[1], args[0])
         raise ParseError(name.line, name.col, f"unknown function {name.text!r}")
 
     # -- literals ----------------------------------------------------------
@@ -416,12 +431,13 @@ class _Parser:
         return self._spanned(ad.RandomLiteral(tuple(axes)), start)
 
     def nested(self):
-        self.expect("[")
+        self.open(self.expect("["))
         items = [self.nested_item()]
         while self.peek().kind == ",":
             self.advance()
             items.append(self.nested_item())
         self.expect("]")
+        self.depth -= 1
         return items
 
     def nested_item(self):
@@ -546,14 +562,10 @@ def _format_bare(node: ad.Expr) -> str:
         return (
             f"index{{{node.ax}}}({format_expr(node.a)}, {format_expr(node.indices)})"
         )
-    if isinstance(node, ad.MaxK):
-        return f"maxk{{{node.ax}, {node.k_name}}}({format_expr(node.child)})"
-    if isinstance(node, ad.ArgMaxK):
-        return f"argmaxk{{{node.ax}, {node.k_name}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Det):
-        return f"det{{{node.rows}, {node.cols}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Inv):
-        return f"inv{{{node.rows}, {node.cols}}}({format_expr(node.child)})"
+    if isinstance(node, ad.TopK):
+        return f"{node.which}{{{node.ax}, {node.k_name}}}({format_expr(node.child)})"
+    if isinstance(node, ad.LinAlg):
+        return f"{node.which}{{{node.rows}, {node.cols}}}({format_expr(node.child)})"
     raise ValueError(f"cannot print node of kind {node.kind!r}")
 
 

@@ -13,7 +13,6 @@ expression graph and taking the dense derivative.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,32 +27,28 @@ from .parse import Binding, Directive, Program
 __all__ = ["run_program", "evaluate_program", "grad_program", "ProgramRun"]
 
 
-def _with_children(node: ad.Expr, kids: Tuple[ad.Expr, ...]) -> ad.Expr:
-    new = copy.copy(node)
-    if isinstance(node, ad.IndexSelect):
-        new.a, new.indices = kids
-    elif hasattr(node, "child"):
-        (new.child,) = kids
-    elif hasattr(node, "a"):
-        new.a, new.b = kids
-    return new
+def _rebuild(order: List[ad.Expr], memo: dict) -> ad.Expr:
+    """Rebuild the graph listed bottom-up in ``order`` (an ``ad._topo`` list).
+
+    ``memo`` maps ``id(node)`` to the node's replacement.  Every node not
+    in it is kept when its rebuilt children are its own children, and is
+    rebuilt on them otherwise; it is entered into ``memo`` either way.
+    """
+    for node in order:
+        if id(node) not in memo:
+            old = node.children()
+            kids = tuple([memo[id(c)] for c in old])
+            same = all(k is c for k, c in zip(kids, old))
+            memo[id(node)] = node if same else node.with_children(kids)
+    return memo[id(order[-1])]
 
 
-def _materialize_randoms(expr: ad.Expr, rng: SplitMix64, axis_sizes, memo) -> ad.Expr:
-    if id(expr) in memo:
-        return memo[id(expr)]
-    if isinstance(expr, ad.RandomLiteral):
-        sizes = [axis_sizes[n] for n in expr.axis_names]
-        flat = rng.floats(int(np.prod(sizes)) if sizes else 1)
-        arr = np.asarray(flat).reshape(sizes)
-        out: ad.Expr = ad.Const(NamedTensor.from_array(arr, expr.axis_names))
-        out.span = expr.span
-    else:
-        kids = tuple(
-            _materialize_randoms(c, rng, axis_sizes, memo) for c in expr.children()
-        )
-        out = expr if kids == expr.children() else _with_children(expr, kids)
-    memo[id(expr)] = out
+def _draw(node: ad.RandomLiteral, rng: SplitMix64, axis_sizes) -> ad.Expr:
+    sizes = [axis_sizes[n] for n in node.axis_names]
+    flat = rng.floats(int(np.prod(sizes)) if sizes else 1)
+    arr = np.asarray(flat).reshape(sizes)
+    out = ad.Const(NamedTensor.from_array(arr, node.axis_names))
+    out.span = node.span
     return out
 
 
@@ -76,7 +71,12 @@ def run_program(program: Program, seed: int = 0) -> ProgramRun:
     memo: dict = {}
     for st in program.statements:
         if isinstance(st, Binding):
-            expr = _materialize_randoms(st.expr, rng, run.axis_sizes, memo)
+            order = ad._topo(st.expr)
+            # Reversed _topo order visits a tree depth-first, left to right.
+            for node in reversed(order):
+                if isinstance(node, ad.RandomLiteral) and id(node) not in memo:
+                    memo[id(node)] = _draw(node, rng, run.axis_sizes)
+            expr = _rebuild(order, memo)
             run.exprs[st.name] = expr
             try:
                 run.env[st.name] = ad.evaluate(
@@ -102,19 +102,6 @@ def evaluate_program(program: Program, seed: int = 0) -> Dict[str, NamedTensor]:
 
 def _is_literal_binding(expr: ad.Expr) -> bool:
     return isinstance(expr, (ad.Const, ad.Literal))
-
-
-def _inline(expr: ad.Expr, bindings: Dict[str, ad.Expr], memo: dict) -> ad.Expr:
-    if id(expr) in memo:
-        return memo[id(expr)]
-    if isinstance(expr, ad.Var) and expr.name in bindings \
-            and not _is_literal_binding(bindings[expr.name]):
-        out = _inline(bindings[expr.name], bindings, memo)
-    else:
-        kids = tuple(_inline(c, bindings, memo) for c in expr.children())
-        out = expr if kids == expr.children() else _with_children(expr, kids)
-    memo[id(expr)] = out
-    return out
 
 
 def grad_program(
@@ -149,5 +136,18 @@ def grad_program(
             f"'{wrt}' must be bound to a tensor literal to differentiate "
             f"with respect to it"
         )
-    root = _inline(ad.Var(of), run.exprs, {})
+    # Splice every non-literal binding into the uses of its name, in
+    # program order, so each binding is rebuilt once on its spliced inputs.
+    spliced: Dict[str, ad.Expr] = {}
+    memo: dict = {}
+    for name, expr in run.exprs.items():
+        order = ad._topo(expr)
+        for node in order:
+            if isinstance(node, ad.Var) and node.name in spliced:
+                memo[id(node)] = spliced[node.name]
+        if not _is_literal_binding(expr):
+            spliced[name] = _rebuild(order, memo)
+        if name == of:
+            break
+    root = spliced.get(of, ad.Var(of))
     return ad.jacobian(root, wrt, run.env, axis_sizes=run.axis_sizes)

@@ -1,6 +1,7 @@
 """Differentiation: finite-difference agreement, closed forms, priming."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ntensor import (
     ops,
 )
 from ntensor import autodiff as ad
+from ntensor import lang
 
 import helpers as H
 
@@ -315,3 +317,107 @@ def test_lifted_derivative_standardize_over_chans():
     assert report.passed, str(report)
     x = H.random_tensor(SplitMix64(4), Shape.of(ax=3, chans=2))
     H.check_jacobian(ad.standardize(ad.var("X"), ["ax"]), "X", {"X": x})
+
+
+# ---------------------------------------------------------------------------
+# graph structure
+
+_X, _Y, _I = ad.var("X"), ad.var("Y"), ad.var("I")
+BUILDERS = {
+    "var": lambda: ad.var("X"),
+    "const": lambda: ad.const(2.5),
+    "literal": lambda: ad.literal([[1, 2], [3, 4]], ["a", "b"]),
+    "random_literal": lambda: ad.random_literal(["a", "b"]),
+    "size_of": lambda: ad.size_of("a"),
+    "add": lambda: ad.add(_X, 1.0),
+    "sub": lambda: ad.sub(_X, _Y),
+    "mul": lambda: ad.mul(2.0, _Y),
+    "div": lambda: ad.div(_X, _Y),
+    "pow_": lambda: ad.pow_(_X, 2.0),
+    "neg": lambda: ad.neg(_X),
+    "relu": lambda: ad.relu(_X),
+    "sigmoid": lambda: ad.sigmoid(_X),
+    "exp": lambda: ad.exp(_X),
+    "log": lambda: ad.log(_X),
+    "sqrt": lambda: ad.sqrt(_X),
+    "reduce": lambda: ad.reduce(_X, "norm", ["a"]),
+    "sum_": lambda: ad.sum_(_X, ["a", "b"]),
+    "mean_": lambda: ad.mean_(_X, ["a"]),
+    "max_": lambda: ad.max_(_X, ["a"]),
+    "min_": lambda: ad.min_(_X, ["b"]),
+    "var_": lambda: ad.var_(_X, ["a"]),
+    "norm_": lambda: ad.norm_(_X, ["b"]),
+    "contract": lambda: ad.contract(_X, _Y, ["a"]),
+    "softmax": lambda: ad.softmax(_X, ["a"]),
+    "argmax": lambda: ad.argmax(_X, ["a"]),
+    "argmin": lambda: ad.argmin(_X, ["a"]),
+    "standardize": lambda: ad.standardize(_X, ["a"], eps=1e-3),
+    "rename": lambda: ad.rename(_X, "a", "c"),
+    "merge": lambda: ad.merge(_X, ["a", "b"], "c"),
+    "split": lambda: ad.split(_X, "a", "o", "i", 2),
+    "unroll": lambda: ad.unroll(_X, "a", "k", 2),
+    "index_select": lambda: ad.index_select(_X, "a", _I),
+    "maxk": lambda: ad.maxk(_X, "a", "k", 2),
+    "argmaxk": lambda: ad.argmaxk(_X, "a", "k"),
+    "det": lambda: ad.det(_X, "a", "b"),
+    "inv": lambda: ad.inv(_X, "a", "b"),
+    "partial_index": lambda: ad.partial_index(_X, {"b": 2, "a": 1}),
+}
+NOT_BUILDERS = {
+    "Expr", "ExprError", "Derivative", "LiftReport",
+    "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
+}
+
+
+def test_every_public_builder_is_covered():
+    assert set(BUILDERS) == set(ad.__all__) - NOT_BUILDERS
+
+
+def test_with_children_rebuilds_an_equal_node_keeping_its_span():
+    nodes = []
+    for build in BUILDERS.values():
+        root = build()
+        root.span = (4, 2)
+        nodes.extend(ad._topo(root))
+    corpus = Path(__file__).parent / "corpus" / "valid"
+    for path in sorted(corpus.glob("*.nt")):
+        for st in lang.parse(path.read_text()).statements:
+            if isinstance(st, lang.Binding):
+                nodes.extend(ad._topo(st.expr))
+    assert {type(n) for n in nodes} == set(ad.Expr.__subclasses__())
+    for node in nodes:
+        rebuilt = node.with_children(node.children())
+        assert rebuilt is not node and type(rebuilt) is type(node)
+        assert rebuilt == node, node.kind
+        assert rebuilt.span == node.span, node.kind
+        assert all(a is b for a, b in zip(rebuilt.children(), node.children()))
+
+
+def test_equality_ignores_spans_and_compares_parameters():
+    a, b = ad.softmax(_X, ["a"]), ad.softmax(ad.var("X"), ["a"])
+    a.span, b.span = (1, 1), (9, 9)
+    assert a == b
+    assert a != ad.softmax(_X, ["b"])
+    assert ad.maxk(_X, "a", "k") != ad.argmaxk(_X, "a", "k")
+    assert ad.det(_X, "a", "b") != ad.inv(_X, "a", "b")
+
+
+def test_kernels_are_looked_up_on_ops_at_call_time(monkeypatch):
+    calls = {"contract": 0, "softmax": 0}
+    for name in calls:
+        def counting(*args, _name=name, _kernel=getattr(ops, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(ops, name, counting)
+    expr = ad.contract(ad.softmax(ad.var("X"), ["ax"]), ad.var("W"), ["ax"])
+    env = {"X": _rand(5, ax=3, batch=2), "W": _rand(6, ax=3)}
+    ad.evaluate(expr, env)
+    assert calls == {"contract": 1, "softmax": 1}
+    ad.vjp(expr, "X", env, NamedTensor.zeros(Shape.of(batch=2)))
+    assert calls == {"contract": 2, "softmax": 2}
+
+
+def test_random_literal_needs_materialising():
+    with pytest.raises(ad.ExprError, match="run_program"):
+        ad.evaluate(ad.random_literal(["a"]), axis_sizes={"a": 2})

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ntensor import NamedTensor
+from ntensor import NamedTensor, lang
 from ntensor.cli import main
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -97,6 +97,17 @@ def test_zoo_list_and_run(capsys):
 def test_missing_file(capsys):
     assert main(["check", "no_such_file.nt"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
+    def broken(program, seed=0):
+        raise RuntimeError("evaluator fell over\nsecond line")
+
+    monkeypatch.setattr(lang, "run_program", broken)
+    assert main(["eval", MATRIX]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: evaluator fell over second line\n"
 
 
 def test_installed_entry_point_runs():

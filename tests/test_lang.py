@@ -2,11 +2,13 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ntensor import Shape, ops
+from ntensor import Shape, SplitMix64, ops
 from ntensor import autodiff as ad
 from ntensor import lang
+from ntensor.cli import main
 from ntensor.zoo import transformer_program
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -83,6 +85,7 @@ def test_parse_examples():
     ("A = relu{ax}(B)", "axis name(s)"),
     ("A = frobnicate{}(B)", "unknown function"),
     ("A : Q[ax]", "R["),
+    ("A = " + "(" * 200 + "B" + ")" * 200, "nests deeper"),
 ])
 def test_syntax_errors_have_spans(source, fragment):
     with pytest.raises(lang.ParseError) as err:
@@ -213,6 +216,32 @@ def test_random_literals_feed_identical_values_to_eval_and_grad():
     deriv = lang.grad_program(program, "S", "X", seed=4)
     # dS/dX = W as drawn during evaluation
     assert deriv.value == env["W"]
+
+
+def test_long_chains_run_without_recursion(tmp_path, capsys):
+    """500-term bindings parse, compare, check, run and differentiate."""
+    terms = 500
+    draws = SplitMix64(0).floats(3 * terms)
+    drawn_sum = draws[0:3]
+    for k in range(1, terms):  # left to right, as the chain associates
+        drawn_sum = [s + d for s, d in zip(drawn_sum, draws[3 * k : 3 * k + 3])]
+    cases = [
+        # body of B, value of B, diagonal of d(B * A)/dA
+        (" + ".join(["A"] * terms), [500.0, 1000.0, 1500.0], [1000.0, 2000.0, 3000.0]),
+        (" + ".join(["random over (i)"] * terms), drawn_sum, drawn_sum),
+    ]
+    for body, value, diagonal in cases:
+        source = f"axis i = 3\nA = [1, 2, 3] over (i)\nB = {body}\nC = B * A\nprint B\n"
+        program = lang.parse(source)
+        assert program == lang.parse(source)
+        assert lang.check(program) == []
+        assert lang.run_program(program).env["B"].to_array(["i"]).tolist() == value
+        deriv = lang.grad_program(program, "C", "A")
+        assert deriv.value.to_array(["i", "i'"]).tolist() == np.diag(diagonal).tolist()
+        path = tmp_path / "chain.nt"
+        path.write_text(source)
+        assert main(["eval", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("# B\nshape: i=3\n")
 
 
 def test_runtime_error_carries_span():
