@@ -263,6 +263,9 @@ def _freeze(values):
     return float(values)
 
 
+_MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's limit
+
+
 class Literal(Expr):
     """A nested-list tensor literal; nesting level i binds axis_names[i]."""
 
@@ -275,14 +278,19 @@ class Literal(Expr):
         super().__post_init__()
 
     def _build(self) -> NamedTensor:
+        depth, first = 0, self.values
+        while isinstance(first, tuple):
+            depth, first = depth + 1, (first[0] if first else None)
+        if depth != len(self.axis_names):
+            raise ShapeMismatch(
+                f"literal nests {depth} deep but names {len(self.axis_names)} axes"
+            )
+        if depth > _MAX_DIMS:
+            raise ShapeError(f"literal names {depth} axes; at most {_MAX_DIMS} are supported")
         try:
             arr = np.asarray(self.values, dtype=np.float64)
         except ValueError as e:
             raise ShapeMismatch(f"ragged tensor literal: {e}") from None
-        if arr.ndim != len(self.axis_names):
-            raise ShapeMismatch(
-                f"literal nests {arr.ndim} deep but names {len(self.axis_names)} axes"
-            )
         try:
             return NamedTensor.from_array(arr, self.axis_names)
         except ValueError as e:
@@ -434,9 +442,6 @@ class Reduce(Expr):
         if self.red not in ops.REDUCE_KINDS:
             raise ValueError(f"unknown reduction {self.red!r}")
         super().__post_init__()
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.reduce_shape(child_shapes[0], self.axes)
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values

@@ -12,14 +12,20 @@ Operator precedence, loosest first: ``+ -``, then ``* /``, then the
 contraction operator ``.{axes}``, then postfix suffixes ``[old->new]``,
 ``[(a,b)->merged]``, ``[ax=i]``, then atoms.  ``-inf`` and ``-3`` are atoms;
 there is no general unary minus.
+
+Calls ``name{axes}(args)`` are defined in one place, the table ``_CALLS``:
+the parser builds every call from it and the printer inverts it, so a new
+call form is one table row.  The printer renders children before parents
+and never recurses, so an expression of any depth prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .. import autodiff as ad
+from .. import ops
 from .diagnostics import ParseError
 from .lex import RESERVED, Token, tokenize
 
@@ -32,57 +38,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # statements
 
-@dataclass(eq=False)
+@dataclass
 class AxisDecl:
     name: str
     size: int
-    span: Tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, AxisDecl) and (self.name, self.size) == (
-            other.name, other.size)
+    span: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class ShapeDecl:
     name: str
     axes: Tuple[str, ...] = ()
-    span: Tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, ShapeDecl) and (self.name, tuple(self.axes)) == (
-            other.name, tuple(other.axes))
+    span: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Binding:
     name: str
     expr: ad.Expr
-    span: Tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, Binding) and self.name == other.name and \
-            self.expr == other.expr
+    span: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Directive:
     kind: str  # "print" | "check" | "grad"
     target: str
-    span: Tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, Directive) and (self.kind, self.target) == (
-            other.kind, other.target)
+    span: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Program:
     statements: Tuple = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Program) and tuple(self.statements) == tuple(
-            other.statements)
 
     @property
     def bindings(self):
@@ -94,12 +80,43 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# the call table
+
+# Call name -> (node class, the op it passes as the node's first parameter
+# or None, fill).  The braces fill the next parameters: all of them as one
+# tuple when fill is None, else parameter j takes brace position fill[j].
+# The arguments fill the node's operands.  The printer inverts this table,
+# taking the first row that fits.
+_CALLS = {
+    **{red: (ad.Reduce, red, None) for red in ops.REDUCE_KINDS},
+    "softmax": (ad.Softmax, None, None),
+    "argmax": (ad.ArgExtremum, "argmax", None),
+    "argmin": (ad.ArgExtremum, "argmin", None),
+    "standardize": (ad.Standardize, None, None),
+    **{fn: (ad.Unary, fn, ()) for fn in ("relu", "sigma", "exp", "log", "neg")},
+    "dot": (ad.Contract, None, None),  # parse only; printed as infix .{axes}
+    "index": (ad.IndexSelect, None, (0,)),
+    "unroll": (ad.Unroll, None, (0, 1)),
+    "pool": (ad.Split, None, (0, 0, 1)),  # split{src, src, inner}
+    "split": (ad.Split, None, (0, 1, 2)),
+    "maxk": (ad.TopK, "maxk", (0, 1)),
+    "argmaxk": (ad.TopK, "argmaxk", (0, 1)),
+    "det": (ad.LinAlg, "det", (0, 1)),
+    "inv": (ad.LinAlg, "inv", (0, 1)),
+}
+
+_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_POSTFIX, _LEVEL_ATOM = range(5)
+
+# Infix operator -> (Binary op, precedence level).
+_INFIX = {
+    "+": ("add", _LEVEL_EXPR), "-": ("sub", _LEVEL_EXPR),
+    "*": ("mul", _LEVEL_TERM), "/": ("div", _LEVEL_TERM),
+}
+_SYMBOL = {op: (sym, level) for sym, (op, level) in _INFIX.items()}
+
+
+# ---------------------------------------------------------------------------
 # parsing
-
-_REDUCTIONS = frozenset({"sum", "min", "max", "mean", "var", "norm"})
-_VEC = frozenset({"softmax", "argmax", "argmin", "standardize"})
-_ELEMENTWISE = frozenset({"relu", "sigma", "exp", "log", "neg"})
-
 
 class _Parser:
     # Parentheses, call arguments and literal brackets nest at most this
@@ -128,12 +145,10 @@ class _Parser:
             raise ParseError(tok.line, tok.col, f"expected {want}, found {found}")
         return self.advance()
 
-    def ident(self, what: str = "identifier", allow_reserved: bool = False) -> Token:
+    def ident(self, what: str = "identifier") -> Token:
         tok = self.expect("IDENT", what)
-        if not allow_reserved and tok.text in RESERVED:
-            raise ParseError(
-                tok.line, tok.col, f"{tok.text!r} is a reserved word"
-            )
+        if tok.text in RESERVED:
+            raise ParseError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
         return tok
 
     def open(self, tok: Token) -> None:
@@ -213,23 +228,18 @@ class _Parser:
         return axes
 
     def expr(self) -> ad.Expr:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = self._spanned(
-                ad.Binary("add" if op.kind == "+" else "sub", node, rhs), op
-            )
-        return node
+        return self.chain(_LEVEL_EXPR, self.term)
 
     def term(self) -> ad.Expr:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
+        return self.chain(_LEVEL_TERM, self.factor)
+
+    def chain(self, level: int, operand) -> ad.Expr:
+        """A left-associated run of ``operand``s joined by infix operators
+        of precedence ``level``."""
+        node = operand()
+        while _INFIX.get(self.peek().kind, (None, None))[1] == level:
             op = self.advance()
-            rhs = self.factor()
-            node = self._spanned(
-                ad.Binary("mul" if op.kind == "*" else "div", node, rhs), op
-            )
+            node = self._spanned(ad.Binary(_INFIX[op.kind][0], node, operand()), op)
         return node
 
     def factor(self) -> ad.Expr:
@@ -281,21 +291,13 @@ class _Parser:
         if tok.kind == "-":
             # "-inf" and negative number literals are atoms
             nxt = self.peek(1)
-            if nxt.kind == "IDENT" and nxt.text == "inf":
-                self.advance()
-                self.advance()
-                return self._spanned(ad.Const(float("-inf")), tok)
-            if nxt.kind == "NUMBER":
+            if nxt.kind == "NUMBER" or (nxt.kind, nxt.text) == ("IDENT", "inf"):
                 self.advance()
                 self.advance()
                 return self._spanned(ad.Const(-float(nxt.text)), tok)
             raise ParseError(tok.line, tok.col, "'-' here must prefix 'inf' or a number")
         if tok.kind == "(":
-            self.open(self.advance())
-            node = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return node
+            return self.parenthesized()
         if tok.kind == "[":
             return self.literal()
         if tok.kind == "IDENT":
@@ -311,11 +313,7 @@ class _Parser:
             if nxt.kind == "(":
                 if tok.text == "sqrt":
                     self.advance()
-                    self.open(self.advance())
-                    node = self.expr()
-                    self.expect(")")
-                    self.depth -= 1
-                    return self._spanned(ad.Unary("sqrt", node), tok)
+                    return self._spanned(ad.Unary("sqrt", self.parenthesized()), tok)
                 if tok.text == "size":
                     self.advance()
                     self.advance()
@@ -331,6 +329,13 @@ class _Parser:
             return self._spanned(ad.Var(tok.text), tok)
         raise ParseError(tok.line, tok.col, f"expected an expression, found {tok.text!r}")
 
+    def parenthesized(self) -> ad.Expr:
+        self.open(self.expect("("))
+        node = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return node
+
     def call(self) -> ad.Expr:
         name = self.advance()
         self.expect("{")
@@ -343,92 +348,42 @@ class _Parser:
             args.append(self.expr())
         self.expect(")")
         self.depth -= 1
-        node = self._build_call(name, axes, args)
+        if name.text not in _CALLS:
+            raise ParseError(name.line, name.col, f"unknown function {name.text!r}")
+        cls, op, fill = _CALLS[name.text]
+        n_axes = None if fill is None else len(set(fill))
+        for what, want, got in (("argument", len(cls._operands), len(args)),
+                                ("axis name", n_axes, len(axes))):
+            if want is not None and want != got:
+                raise ParseError(
+                    name.line, name.col,
+                    f"{name.text} takes {want} {what}(s), got {got}",
+                )
+        params = [] if op is None else [op]
+        params += [tuple(axes)] if fill is None else [axes[b] for b in fill]
+        node = cls(**dict(zip(cls._params, params)), **dict(zip(cls._operands, args)))
         return self._spanned(node, name)
-
-    def _build_call(self, name: Token, axes: List[str], args: List[ad.Expr]) -> ad.Expr:
-        def arity(n):
-            if len(args) != n:
-                raise ParseError(
-                    name.line, name.col,
-                    f"{name.text} takes {n} argument(s), got {len(args)}",
-                )
-
-        def axis_count(n):
-            if len(axes) != n:
-                raise ParseError(
-                    name.line, name.col,
-                    f"{name.text} takes {n} axis name(s), got {len(axes)}",
-                )
-
-        fn = name.text
-        if fn in _REDUCTIONS:
-            arity(1)
-            return ad.Reduce(fn, tuple(axes), args[0])
-        if fn == "softmax":
-            arity(1)
-            return ad.Softmax(tuple(axes), args[0])
-        if fn in ("argmax", "argmin"):
-            arity(1)
-            return ad.ArgExtremum(fn, tuple(axes), args[0])
-        if fn == "standardize":
-            arity(1)
-            return ad.Standardize(tuple(axes), args[0])
-        if fn in _ELEMENTWISE:
-            arity(1)
-            axis_count(0)
-            return ad.Unary(fn, args[0])
-        if fn == "dot":
-            arity(2)
-            return ad.Contract(tuple(axes), args[0], args[1])
-        if fn == "index":
-            arity(2)
-            axis_count(1)
-            return ad.IndexSelect(axes[0], args[0], args[1])
-        if fn == "unroll":
-            arity(1)
-            axis_count(2)
-            return ad.Unroll(axes[0], axes[1], args[0])
-        if fn == "pool":
-            arity(1)
-            axis_count(2)
-            return ad.Split(axes[0], axes[0], axes[1], args[0])
-        if fn == "split":
-            arity(1)
-            axis_count(3)
-            return ad.Split(axes[0], axes[1], axes[2], args[0])
-        if fn in ("maxk", "argmaxk"):
-            arity(1)
-            axis_count(2)
-            return ad.TopK(fn, axes[0], axes[1], args[0])
-        if fn in ("det", "inv"):
-            arity(1)
-            axis_count(2)
-            return ad.LinAlg(fn, axes[0], axes[1], args[0])
-        raise ParseError(name.line, name.col, f"unknown function {name.text!r}")
 
     # -- literals ----------------------------------------------------------
 
     def literal(self) -> ad.Expr:
         start = self.peek()
         values = self.nested()
-        over = self.expect("IDENT", "'over'")
-        if over.text != "over":
-            raise ParseError(over.line, over.col, "tensor literals need an 'over (axes)' clause")
-        self.expect("(")
-        axes = self.axis_list(allow_empty=False)
-        self.expect(")")
-        return self._spanned(ad.Literal(values, tuple(axes)), start)
+        return self._spanned(ad.Literal(values, self.over("tensor literals")), start)
 
     def random_literal(self) -> ad.Expr:
         start = self.advance()
+        return self._spanned(ad.RandomLiteral(self.over("random literals")), start)
+
+    def over(self, what: str) -> Tuple[str, ...]:
+        """The ``over (axes)`` clause that ends a literal."""
         over = self.expect("IDENT", "'over'")
         if over.text != "over":
-            raise ParseError(over.line, over.col, "random literals need an 'over (axes)' clause")
+            raise ParseError(over.line, over.col, f"{what} need an 'over (axes)' clause")
         self.expect("(")
         axes = self.axis_list(allow_empty=False)
         self.expect(")")
-        return self._spanned(ad.RandomLiteral(tuple(axes)), start)
+        return tuple(axes)
 
     def nested(self):
         self.open(self.expect("["))
@@ -469,104 +424,85 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 # printing
 
-_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_POSTFIX, _LEVEL_ATOM = range(5)
-
-
-def _level(node: ad.Expr) -> int:
-    if isinstance(node, ad.Binary):
-        return _LEVEL_EXPR if node.op in ("add", "sub") else _LEVEL_TERM
-    if isinstance(node, ad.Contract):
-        return _LEVEL_FACTOR
-    if isinstance(node, (ad.Rename, ad.Merge, ad.PartialIndex)):
-        return _LEVEL_POSTFIX
-    return _LEVEL_ATOM
-
-
-def _fmt_number(value: float) -> str:
-    if value == float("-inf"):
-        return "-inf"
-    text = repr(value)
-    return text
-
-
-def _fmt_nested(values) -> str:
+def _fmt_values(values) -> str:
+    """A number, or a nested tuple of numbers as a bracketed literal body."""
     if isinstance(values, tuple):
-        return "[" + ", ".join(_fmt_nested(v) for v in values) + "]"
-    return _fmt_number(values)
+        return "[" + ", ".join(_fmt_values(v) for v in values) + "]"
+    return "-inf" if values == float("-inf") else repr(values)
 
 
-def format_expr(node: ad.Expr, min_level: int = _LEVEL_EXPR) -> str:
-    text = _format_bare(node)
-    if _level(node) < min_level:
-        return f"({text})"
-    return text
+def _call_form(node: ad.Expr):
+    """The first call-table row that prints ``node``: (name, brace axes)."""
+    params = node._key()
+    for name, (cls, op, fill) in _CALLS.items():
+        if type(node) is not cls or (op is not None and params[0] != op):
+            continue
+        rest = params if op is None else params[1:]
+        if fill is None:
+            return name, rest[0]
+        braces: dict = {}  # a position filled twice (pool) needs one name
+        if all(braces.setdefault(b, p) == p for b, p in zip(fill, rest)):
+            return name, [braces[b] for b in range(len(braces))]
+    raise ValueError(f"cannot print node of kind {node.kind!r}")
 
 
-def _format_bare(node: ad.Expr) -> str:
+def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
+    """``node``'s text and precedence level; ``sub(child, level)`` is the
+    child's text, parenthesised if it binds looser than ``level``."""
+    if isinstance(node, ad.Binary):
+        if node.op not in _SYMBOL:  # pow has no operator; the language never builds it
+            raise ValueError(f"{node.op} has no surface syntax")
+        sym, level = _SYMBOL[node.op]
+        return f"{sub(node.a, level)} {sym} {sub(node.b, level + 1)}", level
+    if isinstance(node, ad.Contract):
+        return (f"{sub(node.a, _LEVEL_FACTOR)} .{{{', '.join(node.axes)}}} "
+                f"{sub(node.b, _LEVEL_POSTFIX)}", _LEVEL_FACTOR)
+    if isinstance(node, ad.Rename):
+        suffix = f"[{node.old}->{node.new}]"
+    elif isinstance(node, ad.Merge):
+        suffix = f"[({', '.join(node.parts)})->{node.merged_name}]"
+    elif isinstance(node, ad.PartialIndex):
+        suffix = "".join(f"[{n}={i}]" for n, i in node.bindings)
+    else:
+        return _format_atom(node, sub), _LEVEL_ATOM
+    return sub(node.child, _LEVEL_POSTFIX) + suffix, _LEVEL_POSTFIX
+
+
+def _format_atom(node: ad.Expr, sub) -> str:
     if isinstance(node, ad.Var):
         return node.name
     if isinstance(node, ad.Const):
         if len(node.value.shape):
             raise ValueError("non-scalar constants have no surface syntax")
-        return _fmt_number(node.value.item())
+        return _fmt_values(node.value.item())
     if isinstance(node, ad.Literal):
-        return f"{_fmt_nested(node.values)} over ({', '.join(node.axis_names)})"
+        return f"{_fmt_values(node.values)} over ({', '.join(node.axis_names)})"
     if isinstance(node, ad.RandomLiteral):
         return f"random over ({', '.join(node.axis_names)})"
     if isinstance(node, ad.SizeOf):
         return f"size({node.axis_name})"
-    if isinstance(node, ad.Unary):
-        if node.op == "sqrt":
-            return f"sqrt({format_expr(node.child)})"
-        return f"{node.op}{{}}({format_expr(node.child)})"
-    if isinstance(node, ad.Binary):
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}.get(node.op)
-        if sym is None:  # pow has no operator; nothing in the language builds it
-            raise ValueError("pow has no surface syntax")
-        lvl = _level(node)
-        return (
-            f"{format_expr(node.a, lvl)} {sym} {format_expr(node.b, lvl + 1)}"
-        )
-    if isinstance(node, ad.Contract):
-        axes = ", ".join(node.axes)
-        return (
-            f"{format_expr(node.a, _LEVEL_FACTOR)} .{{{axes}}} "
-            f"{format_expr(node.b, _LEVEL_POSTFIX)}"
-        )
-    if isinstance(node, ad.Reduce):
-        return f"{node.red}{{{', '.join(node.axes)}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Softmax):
-        return f"softmax{{{', '.join(node.axes)}}}({format_expr(node.child)})"
-    if isinstance(node, ad.ArgExtremum):
-        return f"{node.which}{{{', '.join(node.axes)}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Standardize):
-        return f"standardize{{{', '.join(node.axes)}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Rename):
-        return f"{format_expr(node.child, _LEVEL_POSTFIX)}[{node.old}->{node.new}]"
-    if isinstance(node, ad.Merge):
-        parts = ", ".join(node.parts)
-        return f"{format_expr(node.child, _LEVEL_POSTFIX)}[({parts})->{node.merged_name}]"
-    if isinstance(node, ad.PartialIndex):
-        child = format_expr(node.child, _LEVEL_POSTFIX)
-        return child + "".join(f"[{n}={i}]" for n, i in node.bindings)
-    if isinstance(node, ad.Unroll):
-        return f"unroll{{{node.seq}, {node.kernel_name}}}({format_expr(node.child)})"
-    if isinstance(node, ad.Split):
-        if node.outer_name == node.src:
-            return f"pool{{{node.src}, {node.inner_name}}}({format_expr(node.child)})"
-        return (
-            f"split{{{node.src}, {node.outer_name}, {node.inner_name}}}"
-            f"({format_expr(node.child)})"
-        )
-    if isinstance(node, ad.IndexSelect):
-        return (
-            f"index{{{node.ax}}}({format_expr(node.a)}, {format_expr(node.indices)})"
-        )
-    if isinstance(node, ad.TopK):
-        return f"{node.which}{{{node.ax}, {node.k_name}}}({format_expr(node.child)})"
-    if isinstance(node, ad.LinAlg):
-        return f"{node.which}{{{node.rows}, {node.cols}}}({format_expr(node.child)})"
-    raise ValueError(f"cannot print node of kind {node.kind!r}")
+    if isinstance(node, ad.Unary) and node.op == "sqrt":
+        return f"sqrt({sub(node.child, _LEVEL_EXPR)})"
+    name, axes = _call_form(node)
+    args = ", ".join(sub(c, _LEVEL_EXPR) for c in node.children())
+    return f"{name}{{{', '.join(axes)}}}({args})"
+
+
+def format_expr(root: ad.Expr) -> str:
+    """Render an expression; the result reparses to an equal expression.
+
+    Nodes are rendered children first, each once, so the printer never
+    recurses however deep the expression is.
+    """
+    done: dict = {}  # id(node) -> (text, level)
+
+    def sub(child: ad.Expr, level: int) -> str:
+        text, own = done[id(child)]
+        return f"({text})" if own < level else text
+
+    for node in ad._topo(root):
+        done[id(node)] = _format_node(node, sub)
+    return done[id(root)][0]
 
 
 def format_program(program: Program) -> str:

@@ -165,7 +165,9 @@ def sqrt(a) -> NamedTensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def reduce_shape(s: Shape, axes: Sequence[str]) -> Shape:
+def reduce_shape(s: Shape, kind: str, axes: Sequence[str]) -> Shape:
+    if kind not in REDUCE_KINDS:
+        raise ValueError(f"unknown reduction {kind!r}")
     axes = _check_axis_list(s, axes)
     return s.drop(axes)
 
@@ -177,9 +179,7 @@ def reduce(a, kind: str, axes: Sequence[str]) -> NamedTensor:
     Reducing over an empty axis list treats each entry as its own fiber.
     """
     a = as_tensor(a)
-    if kind not in REDUCE_KINDS:
-        raise ValueError(f"unknown reduction {kind!r}")
-    out_shape = reduce_shape(a.shape, axes)
+    out_shape = reduce_shape(a.shape, kind, axes)
     if not axes:
         if kind == "var":
             return NamedTensor(a.shape, np.zeros(a.shape.sizes))

@@ -8,17 +8,16 @@ and mask tables are emitted as explicit literals.
 
 from __future__ import annotations
 
+from ..autodiff import Literal
+from ..lang import format_expr
 from .models import causal_mask, positional_encoding
 
 __all__ = ["transformer_program"]
 
 
-def _fmt(values) -> str:
-    if isinstance(values, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in values) + "]"
-    if values == float("-inf"):
-        return "-inf"
-    return repr(float(values))
+def _literal(name: str, values, *axes: str) -> str:
+    """The binding ``name = <values> over (axes)``, as the printer writes it."""
+    return f"{name} = {format_expr(Literal(values, axes))}"
 
 
 def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
@@ -38,12 +37,12 @@ def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
         [1.0 if v == (p % vocab) + 1 else 0.0 for v in range(1, vocab + 1)]
         for p in range(seq)
     ]
-    lines.append(f"I = {_fmt(onehots)} over (seq, vocab)")
+    lines.append(_literal("I", onehots, "seq", "vocab"))
     lines.append("E = random over (vocab, layer)")
     pos = positional_encoding(seq, layer).to_array(["seq", "layer"]).tolist()
-    lines.append(f"P = {_fmt(pos)} over (seq, layer)")
+    lines.append(_literal("P", pos, "seq", "layer"))
     mask = causal_mask(seq).to_array(["seq", "seq'"]).tolist()
-    lines.append(f"M = {_fmt(mask)} over (seq, seq')")
+    lines.append(_literal("M", mask, "seq", "seq'"))
     lines.append("X0 = (E .{vocab} I) * sqrt(size(layer)) + P")
 
     for n in range(1, depth + 1):

@@ -58,6 +58,53 @@ def test_parse_print_parse_generated_transformer():
     assert lang.parse(lang.format_program(program)) == program
 
 
+# Every call-table row, plus the forms printed outside it: source body, then
+# the body as the printer writes it.
+ROUND_TRIPS = [
+    *[(f"{red}{{a, b}}(X)", f"{red}{{a, b}}(X)") for red in ops.REDUCE_KINDS],
+    ("sum{}(X)", "sum{}(X)"),
+    ("softmax{a}(X)", "softmax{a}(X)"),
+    ("argmax{a}(X)", "argmax{a}(X)"),
+    ("argmin{a, b}(X)", "argmin{a, b}(X)"),
+    ("standardize{a}(X)", "standardize{a}(X)"),
+    *[(f"{fn}{{}}(X)", f"{fn}{{}}(X)") for fn in ("relu", "sigma", "exp", "log", "neg")],
+    ("dot{a, b}(X, Y)", "X .{a, b} Y"),
+    ("index{a}(X, Y + 1)", "index{a}(X, Y + 1.0)"),
+    ("unroll{a, k}(X)", "unroll{a, k}(X)"),
+    ("pool{a, k}(X)", "pool{a, k}(X)"),
+    ("split{a, b, c}(X)", "split{a, b, c}(X)"),
+    ("split{a, a, c}(X)", "pool{a, c}(X)"),
+    ("maxk{a, k}(X)", "maxk{a, k}(X)"),
+    ("argmaxk{a, k}(X)", "argmaxk{a, k}(X)"),
+    ("det{a, b}(X)", "det{a, b}(X)"),
+    ("inv{a, b}(X)", "inv{a, b}(X)"),
+    ("sqrt((X + Y))", "sqrt(X + Y)"),
+    ("size(a) * 2", "size(a) * 2.0"),
+    ("X[a->b][(a, b)->c][b=2][a=1]", "X[a->b][(a, b)->c][b=2][a=1]"),
+    ("(X + Y)[a->b]", "(X + Y)[a->b]"),
+    ("relu{}(X .{a} Y)[a->b]", "relu{}(X .{a} Y)[a->b]"),
+    ("(X + Y) * Z - W / (U - V) .{a} (X[a->b] + Y)",
+     "(X + Y) * Z - W / (U - V) .{a} (X[a->b] + Y)"),
+    ("X - (Y - Z) / (A / B) .{a} C .{b} D", "X - (Y - Z) / (A / B) .{a} C .{b} D"),
+    ("((X * Y)) * (Z - -3)", "X * Y * (Z - -3.0)"),
+    ("-inf + [[1, -inf], [2.5, 3]] over (a, b)", "-inf + [[1.0, -inf], [2.5, 3.0]] over (a, b)"),
+    ("random over (a, b) .{} X", "random over (a, b) .{} X"),
+]
+
+
+@pytest.mark.parametrize("body,printed", ROUND_TRIPS, ids=[b for b, _ in ROUND_TRIPS])
+def test_call_forms_print_and_reparse(body, printed):
+    program = lang.parse(f"Z = {body}\n")
+    assert lang.format_program(program) == f"Z = {printed}\n"
+    assert lang.parse(f"Z = {printed}\n") == program
+
+
+def test_round_trips_cover_the_call_table():
+    from ntensor.lang.parse import _CALLS
+
+    assert {body.split("{")[0] for body, _ in ROUND_TRIPS} >= set(_CALLS)
+
+
 def test_parse_examples():
     program = lang.parse("axis width = 3\ny : R[width]\nA : R[width]\nC = dot{width}(A, y)")
     binding = program.statements[-1]
@@ -154,9 +201,15 @@ print C
 
 
 def test_checker_collects_across_statements():
-    source = "axis h = 3\nA = [1, 2] over (h)\nB = [1, 2, 3, 4] over (h)\n"
+    deep = "[" * 70 + "1" + "]" * 70  # deeper than numpy's 64 dimensions
+    source = (
+        "axis h = 3\nA = [1, 2] over (h)\nB = [1, 2, 3, 4] over (h)\n"
+        f"C = {deep} over (h)\n"
+    )
     diags = lang.check(lang.parse(source))
-    assert len(diags) == 2
+    assert len(diags) == 3
+    assert (diags[2].line, diags[2].col) == (4, 5)
+    assert "literal nests 70 deep but names 1 axes" in diags[2].message
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +287,7 @@ def test_long_chains_run_without_recursion(tmp_path, capsys):
         source = f"axis i = 3\nA = [1, 2, 3] over (i)\nB = {body}\nC = B * A\nprint B\n"
         program = lang.parse(source)
         assert program == lang.parse(source)
+        assert lang.parse(lang.format_program(program)) == program
         assert lang.check(program) == []
         assert lang.run_program(program).env["B"].to_array(["i"]).tolist() == value
         deriv = lang.grad_program(program, "C", "A")
