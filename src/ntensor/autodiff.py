@@ -26,7 +26,12 @@ together with a *primed* copy of ``T`` -- every output name that collides
 with an input name gains prime marks until fresh, so input and output axes
 never mix.  ``jacobian`` returns the dense derivative plus the applied
 renaming; ``vjp`` contracts a cotangent against the derivative without ever
-materializing it.
+materializing it.  ``jacobian`` is one backward pass: its cotangent is the
+identity between ``T`` and *probe* copies of ``T``, named fresh against
+every axis in the graph.  So every VJP rule must broadcast over axes it
+does not name, as the operations themselves do; a rule returns its
+cotangents unfitted, and the backward pass sums out the axes broadcasting
+introduced and replicates over the axes a reduction consumed.
 
 Subgradient conventions: ``relu`` has slope 0 at the origin; max/min
 reductions send all mass to the first extremum in record-enumeration order;
@@ -44,7 +49,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from . import ops
-from .axes import Axis, Record, Shape
+from .axes import Axis, Record, Shape, prime
 from .errors import (
     MissingAxis,
     NamedTensorError,
@@ -348,21 +353,24 @@ class SizeOf(Expr):
 # ---------------------------------------------------------------------------
 # gradient plumbing
 
-def _shrink(t: NamedTensor, target: Shape) -> NamedTensor:
-    """Sum a cotangent over the axes broadcasting introduced."""
-    extra = [n for n in t.shape.names if n not in target]
-    return ops.reduce(t, "sum", extra) if extra else t
+def _fit(g: NamedTensor, target: Shape, probes: Shape) -> NamedTensor:
+    """Fit a child's cotangent to ``target ∪ probes``: sum the axes that
+    broadcasting introduced, then replicate over the axes a reduction
+    consumed.  Probe axes are carried through untouched."""
+    extra = [n for n in g.shape.names if n not in target and n not in probes]
+    if extra:
+        g = ops.reduce(g, "sum", extra)
+    full = target.union(probes)
+    return g if g.shape == full else NamedTensor(full, _aligned(g, full))
 
 
-def _expand(t: NamedTensor, target: Shape) -> NamedTensor:
-    """Replicate a cotangent over axes a reduction consumed."""
-    if t.shape == target:
-        return t
-    return NamedTensor(target, _aligned(t, target))
-
-
-def _fit(t: NamedTensor, target: Shape) -> NamedTensor:
-    return _expand(_shrink(t, target), target)
+def _fresh(name: str, taken: set) -> str:
+    """``name`` primed until it is not in ``taken``, which then records it."""
+    name = prime(name)
+    while name in taken:
+        name = prime(name)
+    taken.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +388,18 @@ class Unary(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
-        ga, ya, xa = g.array, value.array, x.array
+        y = value
         if self.op == "neg":
-            out = -ga
-        elif self.op == "relu":
-            out = ga * (xa > 0.0)
-        elif self.op == "sigma":
-            out = ga * ya * (1.0 - ya)
-        elif self.op == "exp":
-            out = ga * ya
-        elif self.op == "log":
-            with np.errstate(all="ignore"):
-                out = ga / xa
-        else:  # sqrt
-            with np.errstate(all="ignore"):
-                out = ga / (2.0 * ya)
-        return (NamedTensor(x.shape, out),)
+            return (ops.neg(g),)
+        if self.op == "relu":
+            return (ops.mul(g, NamedTensor(x.shape, x.array > 0.0)),)
+        if self.op == "sigma":
+            return (ops.mul(ops.mul(g, y), ops.sub(1.0, y)),)
+        if self.op == "exp":
+            return (ops.mul(g, y),)
+        if self.op == "log":
+            return (ops.div(g, x),)
+        return (ops.div(g, ops.mul(2.0, y)),)  # sqrt
 
 
 class Binary(Expr):
@@ -409,23 +413,18 @@ class Binary(Expr):
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
         if self.op == "add":
-            return (_shrink(g, a.shape), _shrink(g, b.shape))
+            return (g, g)
         if self.op == "sub":
-            return (_shrink(g, a.shape), ops.neg(_shrink(g, b.shape)))
+            return (g, ops.neg(g))
         if self.op == "mul":
-            return (
-                _shrink(ops.mul(g, b), a.shape),
-                _shrink(ops.mul(g, a), b.shape),
-            )
+            return (ops.mul(g, b), ops.mul(g, a))
         if self.op == "div":
-            return (
-                _shrink(ops.div(g, b), a.shape),
-                ops.neg(_shrink(ops.div(ops.mul(g, value), b), b.shape)),
-            )
+            return (ops.div(g, b), ops.neg(ops.div(ops.mul(g, value), b)))
         # pow: d/da = b * a**(b-1), d/db = value * log(a)
-        da = ops.mul(g, ops.mul(b, ops.pow_(a, ops.sub(b, 1.0))))
-        db = ops.mul(g, ops.mul(value, ops.log(a)))
-        return (_shrink(da, a.shape), _shrink(db, b.shape))
+        return (
+            ops.mul(g, ops.mul(b, ops.pow_(a, ops.sub(b, 1.0)))),
+            ops.mul(g, ops.mul(value, ops.log(a))),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +445,23 @@ class Reduce(Expr):
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
         target = x.shape
-        if not self.axes:
-            if self.red == "var":
-                return (NamedTensor.zeros(target),)
-            if self.red == "norm":
-                return (NamedTensor(target, g.array * np.sign(x.array)),)
-            return (g,)
-        ge = _expand(g, target).array
-        pos = tuple(target.names.index(a) for a in self.axes)
+        n = math.prod(target.size(a) for a in self.axes)
         if self.red == "sum":
-            out = ge
-        elif self.red == "mean":
-            out = ge / math.prod(target.size(a) for a in self.axes)
-        elif self.red in ("max", "min"):
-            out = ge * _first_extremum_mask(x.array, pos, self.red == "min")
-        elif self.red == "var":
-            n = math.prod(target.size(a) for a in self.axes)
-            m = x.array.mean(axis=pos, keepdims=True)
-            out = ge * 2.0 * (x.array - m) / n
-        else:  # norm
-            ye = _expand(value, target).array
-            out = ge * np.divide(
-                x.array, ye, out=np.zeros_like(x.array), where=ye != 0.0
-            )
-        return (NamedTensor(target, out),)
+            return (g,)
+        if self.red == "mean":
+            return (ops.div(g, n),)
+        if self.red == "var":
+            if not self.axes:  # each entry is its own fiber, of variance 0
+                return (NamedTensor.zeros(target),)
+            xc = ops.sub(x, ops.reduce(x, "mean", self.axes))
+            return (ops.div(ops.mul(ops.mul(g, 2.0), xc), n),)
+        if self.red == "norm":
+            y = _aligned(value, target)
+            local = np.divide(x.array, y, out=np.zeros(target.sizes), where=y != 0.0)
+        else:  # max, min
+            pos = tuple(target.names.index(a) for a in self.axes)
+            local = _first_extremum_mask(x.array, pos, self.red == "min")
+        return (ops.mul(g, NamedTensor(target, local)),)
 
 
 def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndarray:
@@ -498,10 +490,7 @@ class Contract(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
-        return (
-            _fit(ops.mul(g, b), a.shape),
-            _fit(ops.mul(g, a), b.shape),
-        )
+        return (ops.mul(g, b), ops.mul(g, a))
 
 
 class Softmax(Expr):
@@ -513,7 +502,7 @@ class Softmax(Expr):
     def _grads(self, g, child_values, value, ctx):
         y = value
         inner = ops.reduce(ops.mul(g, y), "sum", self.axes)
-        return (ops.mul(y, ops.sub(g, _expand(inner, y.shape))),)
+        return (ops.mul(y, ops.sub(g, inner)),)
 
 
 class ArgExtremum(Expr):
@@ -544,17 +533,16 @@ class Standardize(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
-        pos = tuple(x.shape.names.index(a) for a in self.axes)
-        n = math.prod(x.shape.size(a) for a in self.axes)
-        xa, ga = x.array, g.array
-        m = xa.mean(axis=pos, keepdims=True) if self.axes else xa
-        v = xa.var(axis=pos, keepdims=True) if self.axes else np.zeros_like(xa)
-        q = np.sqrt(v + self.eps)
-        xc = xa - m
-        t1 = ga / q
-        t2 = ga.sum(axis=pos, keepdims=True) / (n * q)
-        t3 = xc * (ga * xc).sum(axis=pos, keepdims=True) / (n * q ** 3)
-        return (NamedTensor(x.shape, t1 - t2 - t3),)
+        n = float(math.prod(x.shape.size(a) for a in self.axes))
+        q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), self.eps))
+        xc = ops.sub(x, ops.reduce(x, "mean", self.axes))
+        t1 = ops.div(g, q)
+        t2 = ops.div(ops.reduce(g, "sum", self.axes), ops.mul(n, q))
+        t3 = ops.div(
+            ops.mul(xc, ops.reduce(ops.mul(g, xc), "sum", self.axes)),
+            ops.mul(n, ops.pow_(q, 3.0)),
+        )
+        return (ops.sub(ops.sub(t1, t2), t3),)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +623,17 @@ class Unroll(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
-        out = np.zeros(x.shape.sizes)
-        seq_pos = x.shape.names.index(self.seq)
-        k_pos = g.shape.names.index(self.kernel_name)
+        # kernel offset j of every window reads input positions j+1 .. j+length
+        rest = g.shape.drop([self.kernel_name, self.seq])
+        shape = rest.union(Shape([x.shape.axis(self.seq)]))
+        out = np.zeros(shape.sizes)
+        seq_pos = shape.names.index(self.seq)
         length = g.shape.size(self.seq)
-        for j in range(ctx.size_of(self.kernel_name, self.kernel_size)):
-            gj = np.take(g.array, j, axis=k_pos)
+        for j in range(g.shape.size(self.kernel_name)):
             sl = [slice(None)] * out.ndim
             sl[seq_pos] = slice(j, j + length)
-            out[tuple(sl)] += gj
-        return (NamedTensor(x.shape, out),)
+            out[tuple(sl)] += g.partial_index({self.kernel_name: j + 1}).array
+        return (NamedTensor(shape, out),)
 
 
 class IndexSelect(Expr):
@@ -661,18 +650,13 @@ class IndexSelect(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         a, idx = child_values
-        out_shape = value.shape
         n = a.shape.size(self.ax)
-        sel = _aligned(idx, out_shape)[..., None] == np.arange(1.0, n + 1.0)
-        contrib = g.array[..., None] * sel
-        rest = a.shape.drop([self.ax])
-        drop = tuple(
-            i for i, name in enumerate(out_shape.names) if name not in rest
+        onehot = NamedTensor.from_array(
+            idx.array[..., None] == np.arange(1.0, n + 1.0),
+            idx.shape.names + (self.ax,),
         )
-        if drop:
-            contrib = contrib.sum(axis=drop)
-        arranged = np.moveaxis(contrib, -1, a.shape.names.index(self.ax))
-        return (NamedTensor(a.shape, arranged), None)
+        idx_only = [name for name in idx.shape.names if name not in a.shape]
+        return (ops.contract(g, onehot, idx_only), None)
 
 
 class TopK(Expr):
@@ -694,14 +678,8 @@ class TopK(Expr):
         if self.which == "argmaxk":
             return (None,)
         (x,) = child_values
-        _, k = self._args(x.shape, ctx)
-        pos = x.shape.names.index(self.ax)
-        top = ops._top_order(x, self.ax, k)
-        shuttle = [self.k_name if n == self.ax else n for n in x.shape.names]
-        garr = g.to_array(shuttle)
-        out = np.zeros(x.shape.sizes)
-        np.put_along_axis(out, top, garr, axis=pos)
-        return (NamedTensor(x.shape, out),)
+        selectors = ops.argmaxk(x, *self._args(x.shape, ctx))
+        return (ops.contract(g, selectors, [self.k_name]),)
 
 
 class LinAlg(Expr):
@@ -740,13 +718,11 @@ class PartialIndex(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
-        out = np.zeros(x.shape.sizes)
-        indexer = []
-        bound = dict(self.bindings)
-        for ax in x.shape:
-            indexer.append(bound[ax.name] - 1 if ax.name in bound else slice(None))
-        out[tuple(indexer)] = g.array
-        return (NamedTensor(x.shape, out),)
+        for name, i in self.bindings:
+            onehot = np.zeros(x.shape.size(name))
+            onehot[i - 1] = 1.0
+            g = ops.mul(g, NamedTensor.from_array(onehot, [name]))
+        return (g,)
 
 
 # ---------------------------------------------------------------------------
@@ -963,11 +939,18 @@ def evaluate(e: Expr, env=None, *, axis_sizes=None) -> NamedTensor:
 
 
 def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
-              var_shape: Shape, ctx: Context) -> NamedTensor:
+              var_shape: Shape, ctx: Context, probes: Shape = Shape()) -> NamedTensor:
+    """Propagate ``cotangent`` from ``root`` down to the variable ``wrt``.
+
+    ``probes`` are axes of the cotangent that no node of the graph names.
+    Every VJP rule must broadcast over axes it does not name, so they ride
+    through each rule untouched and the result has shape ``var_shape ∪
+    probes``: one pass pulls back a whole batch of cotangents at once.
+    """
     cots: Dict[int, NamedTensor] = {id(root): cotangent}
     total: Optional[NamedTensor] = None
     for node in reversed(order):
-        g = cots.get(id(node))
+        g = cots.pop(id(node), None)
         if g is None:
             continue
         if isinstance(node, Var):
@@ -976,18 +959,18 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
             continue
         if not node.children():
             continue
+        kids = [vals[id(c)] for c in node.children()]
         try:
-            grads = node._grads(
-                g, [vals[id(c)] for c in node.children()], vals[id(node)], ctx
-            )
+            grads = node._grads(g, kids, vals[id(node)], ctx)
         except NamedTensorError as err:
             raise ExprError(node, err) from err
-        for child, cg in zip(node.children(), grads):
+        for child, kid, cg in zip(node.children(), kids, grads):
             if cg is None:
                 continue
+            cg = _fit(cg, kid.shape, probes)
             prev = cots.get(id(child))
             cots[id(child)] = cg if prev is None else ops.add(prev, cg)
-    return total if total is not None else NamedTensor.zeros(var_shape)
+    return total if total is not None else NamedTensor.zeros(var_shape.union(probes))
 
 
 def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
@@ -1029,7 +1012,12 @@ class Derivative:
 
 
 def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
-    """The dense derivative of ``e`` with respect to variable ``wrt``."""
+    """The dense derivative of ``e`` with respect to variable ``wrt``.
+
+    One backward pass computes it: the cotangent is the identity between
+    the output axes ``T`` and probe copies of them, fresh against every
+    axis name in the graph, and the probes are renamed to ``T'`` at the end.
+    """
     env = _normalize_env(env)
     if wrt not in env:
         raise UnboundVariable(f"variable {wrt!r} is not bound")
@@ -1038,35 +1026,18 @@ def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     order, vals = _forward(e, env, ctx)
     out_shape = vals[id(e)].shape
 
-    rename_map: Dict[str, str] = {}
     taken = set(out_shape.names) | set(var_shape.names)
-    for name in out_shape.names:
-        if name in var_shape:
-            fresh = name + "'"
-            while fresh in taken:
-                fresh += "'"
-            rename_map[name] = fresh
-            taken.add(fresh)
-    primed = Shape(
-        Axis(rename_map.get(ax.name, ax.name), ax.size) for ax in out_shape
+    rename_map = {n: _fresh(n, taken) for n in out_shape.names if n in var_shape}
+    taken.update(n for v in vals.values() for n in v.shape.names)
+    probe = {n: _fresh(n, taken) for n in out_shape.names}
+    seed = NamedTensor.from_array(
+        np.eye(out_shape.num_records).reshape(out_shape.sizes * 2),
+        out_shape.names + tuple(probe.values()),
     )
-    jac_shape = var_shape.union(primed)
-    result = np.zeros(jac_shape.sizes)
-    unprime = {v: k for k, v in rename_map.items()}
-    onehot_base = np.zeros(out_shape.sizes)
-    out_names = out_shape.names
-    for t in out_shape.records():
-        onehot = onehot_base.copy()
-        onehot[tuple(t[n] - 1 for n in out_names)] = 1.0
-        grad = _backward(
-            order, vals, e, NamedTensor(out_shape, onehot), wrt, var_shape, ctx
-        )
-        indexer = tuple(
-            slice(None) if name in var_shape else t[unprime.get(name, name)] - 1
-            for name in jac_shape.names
-        )
-        result[indexer] = grad.array
-    return Derivative(NamedTensor(jac_shape, result), rename_map)
+    probes = seed.shape.drop(out_shape.names)
+    total = _backward(order, vals, e, seed, wrt, var_shape, ctx, probes)
+    public = {p: rename_map.get(n, n) for n, p in probe.items()}
+    return Derivative(ops.rename_many(total, public), rename_map)
 
 
 @dataclass
@@ -1112,42 +1083,26 @@ def lifted_derivative_check(
     full_shape = base_shape.union(extension)
     data = np.asarray(rng.floats(full_shape.num_records)).reshape(full_shape.sizes)
     x_full = NamedTensor(full_shape, data)
-
-    expr_full = build(Var("x"))
-    full = jacobian(expr_full, "x", {"x": x_full})
-    out_full = infer_shape(expr_full, {"x": x_full})
-    base_out = out_full.drop(extension.names)
+    full = jacobian(build(Var("x")), "x", {"x": x_full})
 
     max_diag = 0.0
     max_off = 0.0
-    base_jacs = {}
     for u in extension.records():
-        base_jacs[u] = jacobian(build(Var("x")), "x", {"x": x_full.partial_index(u)})
-
-    for u in extension.records():
-        bj = base_jacs[u]
-        for uprime in extension.records():
-            for s in base_shape.records():
-                for t in base_out.records():
-                    full_rec = {}
-                    for n, i in s:
-                        full_rec[n] = i
-                    for n, i in u:
-                        full_rec[n] = i
-                    for n, i in t:
-                        full_rec[full.rename_map.get(n, n)] = i
-                    for n, i in uprime:
-                        full_rec[full.rename_map.get(n, n)] = i
-                    got = full.value.get(Record(full_rec))
-                    if u == uprime:
-                        base_rec = {}
-                        for n, i in s:
-                            base_rec[n] = i
-                        for n, i in t:
-                            base_rec[bj.rename_map.get(n, n)] = i
-                        want = bj.value.get(Record(base_rec))
-                        max_diag = max(max_diag, abs(got - want))
-                    else:
-                        max_off = max(max_off, abs(got))
+        base = jacobian(build(Var("x")), "x", {"x": x_full.partial_index(u)})
+        # output axis t is named base.rename_map[t] in base.value and
+        # full.rename_map[t] in full.value
+        unprime = {p: t for t, p in base.rename_map.items()}
+        outputs = [unprime.get(n, n) for n in base.value.shape.names if n not in base_shape]
+        want = ops.rename_many(base.value, {
+            base.rename_map.get(t, t): full.rename_map.get(t, t) for t in outputs
+        })
+        for v in extension.records():
+            primed_v = [(full.rename_map.get(n, n), i) for n, i in v]
+            got = full.value.partial_index(Record(list(u) + primed_v))
+            if u == v:
+                err = np.abs(ops.sub(got, want).array)
+                max_diag = max(max_diag, float(err.max(initial=0.0)))
+            else:
+                max_off = max(max_off, float(np.abs(got.array).max(initial=0.0)))
     passed = max_diag <= tolerance and max_off == 0.0
     return LiftReport(passed, max_diag, max_off, extension)

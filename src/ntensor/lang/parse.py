@@ -21,7 +21,7 @@ and never recurses, so an expression of any depth prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from .. import autodiff as ad
@@ -432,17 +432,30 @@ def _fmt_values(values) -> str:
 
 
 def _call_form(node: ad.Expr):
-    """The first call-table row that prints ``node``: (name, brace axes)."""
+    """The first call-table row that prints ``node``: (name, brace axes).
+
+    A parameter the braces do not fill has no surface syntax, so it must
+    hold its field default: the parser could not build anything else.
+    """
     params = node._key()
     for name, (cls, op, fill) in _CALLS.items():
         if type(node) is not cls or (op is not None and params[0] != op):
             continue
         rest = params if op is None else params[1:]
         if fill is None:
-            return name, rest[0]
-        braces: dict = {}  # a position filled twice (pool) needs one name
-        if all(braces.setdefault(b, p) == p for b, p in zip(fill, rest)):
-            return name, [braces[b] for b in range(len(braces))]
+            width, axes = 1, rest[0]
+        else:
+            braces: dict = {}  # a position filled twice (pool) needs one name
+            if not all(braces.setdefault(b, p) == p for b, p in zip(fill, rest)):
+                continue
+            width, axes = len(fill), [braces[b] for b in range(len(braces))]
+        defaults = {f.name: f.default for f in fields(node)}
+        for param in node._params[(op is not None) + width:]:
+            if getattr(node, param) != defaults[param]:
+                raise ValueError(
+                    f"{name} with {param}={getattr(node, param)!r} has no surface syntax"
+                )
+        return name, axes
     raise ValueError(f"cannot print node of kind {node.kind!r}")
 
 

@@ -265,7 +265,8 @@ def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
     arr = a.array
     m = arr.min(axis=pos, keepdims=True) if minimize else arr.max(axis=pos, keepdims=True)
     mask = (arr == m).astype(np.float64)
-    return NamedTensor(out_shape, mask / mask.sum(axis=pos, keepdims=True))
+    with np.errstate(invalid="ignore"):  # a NaN fiber has no extremum: 0/0
+        return NamedTensor(out_shape, mask / mask.sum(axis=pos, keepdims=True))
 
 
 def argmax(a, axes: Sequence[str]) -> NamedTensor:

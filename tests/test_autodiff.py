@@ -158,6 +158,11 @@ def _fd_case(seed, build, **sizes):
     ("split", lambda v: ad.split(v, "ax", "outer", "inner", 2)),
     ("unroll", lambda v: ad.unroll(v, "ax", "win", 2)),
     ("partial", lambda v: ad.partial_index(v, {"ax": 2})),
+    ("sum_empty", lambda v: ad.sum_(v, [])),
+    ("var_empty", lambda v: ad.var_(v, [])),
+    ("norm_empty", lambda v: ad.norm_(v, [])),
+    ("max_empty", lambda v: ad.max_(v, [])),
+    ("standardize_empty", lambda v: ad.standardize(v, [])),
 ])
 def test_fd_per_op(name, build):
     _fd_case(100 + len(name), build, ax=4, extra=2)
@@ -216,6 +221,31 @@ def test_fd_attention_wrt_query():
     )
     expr = ad.contract(ad.softmax(scores, ["seq"]), ad.const(v), ["seq"])
     H.check_jacobian(expr, "Q", {"Q": q})
+
+
+def test_jacobian_is_one_backward_pass(monkeypatch):
+    calls = []
+    backward = ad._backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_backward", counted)
+    x = _rand(32, ax=4, extra=3)
+    deriv = ad.jacobian(ad.softmax(ad.var("X"), ["ax"]), "X", {"X": x})
+    assert deriv.value.shape.num_records == 12 * 12
+    assert len(calls) == 1
+
+
+def test_probe_axes_are_fresh_against_intermediate_axes():
+    # the output is over (ax) while an intermediate carries ax'
+    rng = SplitMix64(33)
+    c = H.random_tensor(rng, Shape.of(**{"ax": 3, "ax'": 3}))
+    d = H.random_tensor(rng, Shape.of(**{"b": 4, "ax'": 3}))
+    inner = ad.contract(ad.var("X"), ad.const(d), ["b"])
+    expr = ad.contract(ad.const(c), inner, ["ax'"])
+    H.check_jacobian(expr, "X", {"X": _rand(34, b=4)})
 
 
 def test_argmax_and_argmaxk_have_zero_derivative():

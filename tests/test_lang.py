@@ -105,6 +105,19 @@ def test_round_trips_cover_the_call_table():
     assert {body.split("{")[0] for body, _ in ROUND_TRIPS} >= set(_CALLS)
 
 
+@pytest.mark.parametrize("expr", [
+    ad.pow_(ad.var("X"), 2.0),
+    ad.standardize(ad.var("X"), ["a"], eps=0.1),
+    ad.split(ad.var("X"), "a", "b", "c", inner_size=2),
+    ad.split(ad.var("X"), "a", "a", "c", inner_size=2),
+    ad.unroll(ad.var("X"), "a", "k", kernel_size=2),
+    ad.maxk(ad.var("X"), "a", "k", k_size=2),
+], ids=["pow", "eps", "inner_size", "pool_inner_size", "kernel_size", "k_size"])
+def test_nodes_the_language_cannot_write_do_not_print(expr):
+    with pytest.raises(ValueError, match="has no surface syntax"):
+        lang.format_expr(expr)
+
+
 def test_parse_examples():
     program = lang.parse("axis width = 3\ny : R[width]\nA : R[width]\nC = dot{width}(A, y)")
     binding = program.statements[-1]

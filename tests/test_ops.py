@@ -143,6 +143,29 @@ def test_argmax_limit_semantics():
     assert ops.argmin(tied, ["ax"]).to_array(["ax"]).tolist() == [1.0, 0.0, 0.0]
 
 
+def test_nan_fiber_rule():
+    """A NaN makes its fiber NaN, silently; maxk orders NaN below every number."""
+    clean = H.random_tensor(SplitMix64(32), Shape.of(row=3, ax=4))
+    arr = clean.to_array(["row", "ax"])
+    arr[1, 2] = math.nan
+    dirty = NamedTensor.from_array(arr, ["row", "ax"])
+    others = [{"row": 1}, {"row": 3}]
+    for op in (
+        lambda t: ops.softmax(t, ["ax"]),
+        lambda t: ops.reduce(t, "max", ["ax"]),
+        lambda t: ops.argmax(t, ["ax"]),
+        lambda t: ops.argmin(t, ["ax"]),
+    ):
+        got, want = op(dirty), op(clean)
+        assert np.all(np.isnan(got.partial_index({"row": 2}).array))
+        assert all(got.partial_index(r) == want.partial_index(r) for r in others)
+    got, want = ops.maxk(dirty, "ax", Axis("k", 4)), ops.maxk(clean, "ax", Axis("k", 4))
+    top = got.partial_index({"row": 2}).to_array(["k"])
+    assert top[:3].tolist() == sorted(np.delete(arr[1], 2), reverse=True)
+    assert math.isnan(top[3])
+    assert all(got.partial_index(r) == want.partial_index(r) for r in others)
+
+
 def test_softmax_properties():
     rng = SplitMix64(31)
     for _ in range(20):
