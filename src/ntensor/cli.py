@@ -28,22 +28,23 @@ def _load(path: str) -> lang.Program:
     return lang.parse(Path(path).read_text())
 
 
+def _diagnose(program: lang.Program) -> bool:
+    """Print ``program``'s diagnostics to stderr; True if there were any."""
+    diagnostics = lang.check(program)
+    for diag in diagnostics:
+        print(diag, file=sys.stderr)
+    return bool(diagnostics)
+
+
 def _checked(path: str) -> lang.Program:
     program = _load(path)
-    diagnostics = lang.check(program)
-    if diagnostics:
-        for diag in diagnostics:
-            print(diag, file=sys.stderr)
+    if _diagnose(program):
         raise SystemExit(1)
     return program
 
 
 def _cmd_check(args) -> int:
-    program = _load(args.file)
-    diagnostics = lang.check(program)
-    for diag in diagnostics:
-        print(diag, file=sys.stderr)
-    return 1 if diagnostics else 0
+    return 1 if _diagnose(_load(args.file)) else 0
 
 
 def _cmd_eval(args) -> int:
@@ -109,16 +110,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except lang.ParseError as err:
+    except (lang.ParseError, lang.RunError) as err:
         print(str(err), file=sys.stderr)
         return 1
-    except lang.RunError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    except NamedTensorError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (NamedTensorError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # the CLI reports every failure as one line

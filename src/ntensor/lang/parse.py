@@ -21,6 +21,7 @@ and never recurses, so an expression of any depth prints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -428,7 +429,9 @@ def _fmt_values(values) -> str:
     """A number, or a nested tuple of numbers as a bracketed literal body."""
     if isinstance(values, tuple):
         return "[" + ", ".join(_fmt_values(v) for v in values) + "]"
-    return "-inf" if values == float("-inf") else repr(values)
+    if math.isnan(values):
+        raise ValueError("nan has no surface syntax")
+    return repr(values)
 
 
 def _call_form(node: ad.Expr):
@@ -487,6 +490,8 @@ def _format_atom(node: ad.Expr, sub) -> str:
     if isinstance(node, ad.Const):
         if len(node.value.shape):
             raise ValueError("non-scalar constants have no surface syntax")
+        if node.value.item() == math.inf:  # only -inf is an atom
+            raise ValueError("a constant inf has no surface syntax")
         return _fmt_values(node.value.item())
     if isinstance(node, ad.Literal):
         return f"{_fmt_values(node.values)} over ({', '.join(node.axis_names)})"

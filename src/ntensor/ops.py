@@ -427,20 +427,11 @@ def index_select(a, ax: str, indices) -> NamedTensor:
     ivals = idx.array
     if np.any(ivals != np.floor(ivals)) or np.any(ivals < 1) or np.any(ivals > n):
         raise IndexOutOfRange(f"indices for {ax}[{n}] must be integers in 1..{n}")
-    rest_names = [m for m in a.shape.names if m != ax]
-    arr = np.moveaxis(a.array, a.shape.names.index(ax), -1)
-    dims = []
-    i = 0
-    for name in out_shape.names:
-        if i < len(rest_names) and rest_names[i] == name:
-            dims.append(arr.shape[i])
-            i += 1
-        else:
-            dims.append(1)
-    arr = np.broadcast_to(arr.reshape(dims + [n]), out_shape.sizes + (n,))
-    pos = (_aligned(idx, out_shape) - 1).astype(np.intp)[..., None]
-    out = np.take_along_axis(arr, pos, axis=-1)[..., 0]
-    return NamedTensor(out_shape, out)
+    full = out_shape.union(a.shape)
+    at = full.names.index(ax)
+    pos = np.expand_dims((_aligned(idx, out_shape) - 1).astype(np.intp), at)
+    out = np.take_along_axis(_aligned(a, full), pos, axis=at)
+    return NamedTensor(out_shape, out.squeeze(at))
 
 
 # ---------------------------------------------------------------------------
@@ -524,64 +515,60 @@ def inv_shape(s: Shape, rows: str, cols: str) -> Shape:
     return s
 
 
-def _gauss(mat: np.ndarray, need_inv: bool):
-    """Partial-pivot elimination; returns (det, inverse or None).
+def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
+    """Determinants and inverses of every (rows, cols) matrix of ``a`` at once.
 
-    A pivot below ``PIVOT_RTOL`` relative to the largest entry of the
-    matrix raises :class:`SingularMatrix`.
+    Gauss–Jordan elimination with partial pivoting runs on the whole
+    (batch, n, n) stack; only the n columns are a Python loop.  A column's
+    pivot is its largest |entry| on or below the diagonal, first on ties,
+    and a row whose multiplier is 0 is left untouched.  A pivot below
+    ``PIVOT_RTOL`` times the largest |entry| of its own matrix raises
+    :class:`SingularMatrix`; a matrix holding NaN or ±inf gets a NaN
+    determinant and an all-NaN inverse instead.
+
+    Returns the determinants (an array over the other axes of ``a``, in
+    order) and the inverses laid out like ``a``, transposed so that
+    contracting with ``a`` over either axis gives the identity.
     """
-    n = mat.shape[0]
-    a = mat.copy()
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    inv_acc = np.eye(n) if need_inv else None
-    det_acc = 1.0
-    for c in range(n):
-        p = c + int(np.argmax(np.abs(a[c:, c])))
-        if abs(a[p, c]) < PIVOT_RTOL * scale:
-            raise SingularMatrix(
-                f"pivot {a[p, c]:.3g} below {PIVOT_RTOL:g} of matrix scale {scale:.3g}"
-            )
-        if p != c:
-            a[[c, p]] = a[[p, c]]
-            det_acc = -det_acc
-            if need_inv:
-                inv_acc[[c, p]] = inv_acc[[p, c]]
-        det_acc *= a[c, c]
-        if need_inv:
-            f = a[c, c]
-            a[c] /= f
-            inv_acc[c] /= f
-            for r in range(n):
-                if r != c and a[r, c] != 0.0:
-                    g = a[r, c]
-                    a[r] -= g * a[c]
-                    inv_acc[r] -= g * inv_acc[c]
-        else:
-            for r in range(c + 1, n):
-                if a[r, c] != 0.0:
-                    a[r] -= (a[r, c] / a[c, c]) * a[c]
-    return det_acc, inv_acc
-
-
-def _matrices(a: NamedTensor, rows: str, cols: str):
-    """Iterate the (rows, cols)-oriented matrices of ``a``, plus layout info."""
     names = list(a.shape.names)
     rpos, cpos = names.index(rows), names.index(cols)
-    arr = np.moveaxis(a.array, (rpos, cpos), (-2, -1))
-    batch_names = [n for n in names if n not in (rows, cols)]
-    n = a.shape.size(rows)
-    return arr.reshape(-1, n, n), batch_names, [a.shape.size(b) for b in batch_names], n
+    stack = np.moveaxis(a.array, (rpos, cpos), (-2, -1))
+    n = stack.shape[-1]
+    eye = np.eye(n)
+    bad = ~np.isfinite(stack).all(axis=(-2, -1)).reshape(-1)
+    m = np.where(bad[:, None, None], eye, stack.reshape(-1, n, n))
+    scale = np.abs(m).max(axis=(1, 2))
+    if np.any(scale == 0.0):
+        raise SingularMatrix("zero matrix")
+    aug = np.concatenate([m, np.broadcast_to(eye, m.shape)], axis=2)  # [m | I]
+    dets = np.ones(len(m))
+    at = np.arange(len(m))
+    for c in range(n):
+        p = c + np.argmax(np.abs(aug[:, c:, c]), axis=1)
+        pivot = aug[at, p, c]
+        low = np.abs(pivot) < PIVOT_RTOL * scale
+        if low.any():
+            i = int(np.argmax(low))
+            raise SingularMatrix(
+                f"pivot {pivot[i]:.3g} below {PIVOT_RTOL:g} of matrix scale {scale[i]:.3g}"
+            )
+        dets = np.where(p != c, -dets, dets) * pivot
+        aug[:, c], aug[at, p] = aug[at, p], aug[:, c].copy()
+        g = aug[:, :, c, None].copy()  # multipliers; the pivot row's own is 0
+        g[:, c] = 0.0
+        aug[:, c] /= pivot[:, None]
+        aug -= np.where(g != 0.0, g * aug[:, None, c], 0.0)
+    dets[bad] = np.nan
+    inverse = aug[:, :, n:]
+    inverse[bad] = np.nan
+    inverse = np.moveaxis(inverse.reshape(stack.shape), (-1, -2), (rpos, cpos))
+    return dets.reshape(stack.shape[:-2]), inverse
 
 
 def det(a, rows: str, cols: str) -> NamedTensor:
     """Determinant of the matrix over (rows, cols), lifted over other axes."""
     a = as_tensor(a)
-    out_shape = det_shape(a.shape, rows, cols)
-    mats, _, batch_sizes, _ = _matrices(a, rows, cols)
-    dets = np.array([_gauss(m, False)[0] for m in mats])
-    return NamedTensor(out_shape, dets.reshape(batch_sizes))
+    return NamedTensor(det_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[0])
 
 
 def inv(a, rows: str, cols: str) -> NamedTensor:
@@ -592,14 +579,7 @@ def inv(a, rows: str, cols: str) -> NamedTensor:
     matrix; for symmetric input it is the plain inverse.
     """
     a = as_tensor(a)
-    inv_shape(a.shape, rows, cols)
-    mats, batch_names, batch_sizes, n = _matrices(a, rows, cols)
-    out = np.empty_like(mats)
-    for i, m in enumerate(mats):
-        out[i] = _gauss(m, True)[1].T
-    return NamedTensor.from_array(
-        out.reshape(batch_sizes + [n, n]), batch_names + [rows, cols]
-    )
+    return NamedTensor(inv_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,21 @@ def test_eval_seed_changes_random_literals(capsys):
     assert one != two
 
 
+def test_eval_non_finite_det_is_nan_without_warning(tmp_path):
+    source = tmp_path / "masked.nt"
+    source.write_text(
+        "axis d1 = 2\naxis d2 = 2\n"
+        "D = det{d1, d2}([[-inf, 1], [0.5, 2]] over (d1, d2))\nprint D\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "ntensor.cli", "eval", str(source)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "# D\nshape:\nnan\n"
+    assert result.stderr == ""
+
+
 def test_grad_prints_tensor(capsys):
     program = str(CORPUS / "valid" / "softmax_grad.nt")
     assert main(["grad", program, "--of", "Loss", "--wrt", "X"]) == 0

@@ -1,5 +1,6 @@
 """Parser, printer, checker, evaluator, and gradient command."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,7 @@ ROUND_TRIPS = [
     ("((X * Y)) * (Z - -3)", "X * Y * (Z - -3.0)"),
     ("-inf + [[1, -inf], [2.5, 3]] over (a, b)", "-inf + [[1.0, -inf], [2.5, 3.0]] over (a, b)"),
     ("random over (a, b) .{} X", "random over (a, b) .{} X"),
+    ("[inf, -inf, 2] over (a)", "[inf, -inf, 2.0] over (a)"),
 ]
 
 
@@ -112,7 +114,11 @@ def test_round_trips_cover_the_call_table():
     ad.split(ad.var("X"), "a", "a", "c", inner_size=2),
     ad.unroll(ad.var("X"), "a", "k", kernel_size=2),
     ad.maxk(ad.var("X"), "a", "k", k_size=2),
-], ids=["pow", "eps", "inner_size", "pool_inner_size", "kernel_size", "k_size"])
+    ad.const(math.nan),
+    ad.const(math.inf),
+    ad.literal([math.nan, 1.0], ["i"]),
+], ids=["pow", "eps", "inner_size", "pool_inner_size", "kernel_size", "k_size",
+        "nan", "inf", "nan_entry"])
 def test_nodes_the_language_cannot_write_do_not_print(expr):
     with pytest.raises(ValueError, match="has no surface syntax"):
         lang.format_expr(expr)

@@ -364,6 +364,59 @@ def test_det_inv_lift_over_extra_axes():
         assert invs.partial_index({"batch": b}) == ops.inv(s, "d1", "d2")
 
 
+def test_batched_det_inv_pivot_each_matrix_on_its_own():
+    # 16 matrices over batch axes on both sides of the matrix axes in
+    # canonical order (c < d1 < d2 < e); their first-column pivots differ
+    rng = np.random.default_rng(54)
+    arr = rng.standard_normal((4, 4, 4, 4))
+    t = NamedTensor.from_array(arr, ["c", "d1", "d2", "e"])
+    first_pivots = np.argmax(np.abs(arr[:, :, 0, :]), axis=1)
+    assert len(np.unique(first_pivots)) >= 3
+    dets = ops.det(t, "d1", "d2")
+    invs = ops.inv(t, "d1", "d2")
+    for c in range(1, 5):
+        for e in range(1, 5):
+            s = t.partial_index({"c": c, "e": e})
+            assert dets.get({"c": c, "e": e}) == ops.det(s, "d1", "d2").item()
+            assert invs.partial_index({"c": c, "e": e}) == ops.inv(s, "d1", "d2")
+
+
+@pytest.mark.parametrize("odd", [
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+], ids=["rank1", "zero"])
+def test_one_singular_matrix_makes_the_batch_raise(odd):
+    rng = np.random.default_rng(55)
+    arr = rng.standard_normal((3, 2, 2))
+    arr[1] = odd
+    t = NamedTensor.from_array(arr, ["b", "d1", "d2"])
+    for op in (ops.det, ops.inv):
+        with pytest.raises(SingularMatrix):
+            op(t, "d1", "d2")
+
+
+def test_non_finite_matrix_rule():
+    # NaN, +inf and -inf at a pivot position (1, 1) and off it (2, 3), one
+    # NaN next to zeros that would otherwise be singular, amid finite ones
+    rng = np.random.default_rng(56)
+    arr = rng.standard_normal((8, 3, 3))
+    odd = [1, 2, 3, 5, 6, 7, 4]
+    for i, v in zip(odd, [np.nan, np.inf, -np.inf] * 2):
+        arr[i][(0, 0) if i < 4 else (1, 2)] = v
+    arr[4] = [[np.nan, 0, 0], [0, 0, 0], [0, 0, 0]]
+    t = NamedTensor.from_array(arr, ["b", "d1", "d2"])
+    dets = ops.det(t, "d1", "d2")
+    invs = ops.inv(t, "d1", "d2")
+    for b in range(1, 9):
+        if b - 1 in odd:
+            assert math.isnan(dets.get({"b": b}))
+            assert np.isnan(invs.partial_index({"b": b}).array).all()
+        else:
+            s = t.partial_index({"b": b})
+            assert dets.get({"b": b}) == ops.det(s, "d1", "d2").item()
+            assert invs.partial_index({"b": b}) == ops.inv(s, "d1", "d2")
+
+
 def test_standardize_examples():
     const = NamedTensor.filled(Shape.of(ax=4), 3.25)
     assert np.all(ops.standardize(const, ["ax"]).array == 0.0)
