@@ -40,7 +40,7 @@ from .errors import (
     UnboundVariable,
     UnsupportedDerivative,
 )
-from .lift import TensorFunction, extend, extend_binary, extend_multary, extend_unary
+from .lift import TensorFunction, extend
 from .rng import SplitMix64
 from .tensor import NamedTensor, as_tensor
 
@@ -62,9 +62,6 @@ __all__ = [
     "shape_union",
     "prime",
     "extend",
-    "extend_unary",
-    "extend_binary",
-    "extend_multary",
     "ops",
     "lift",
     "autodiff",

@@ -48,7 +48,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import ops
+from . import lift, ops
 from .axes import Axis, Record, Shape, prime
 from .errors import (
     MissingAxis,
@@ -86,20 +86,19 @@ class ExprError(NamedTensorError):
 
 
 class Context:
-    """Carries the axis-size table during walks."""
+    """Carries the axis-size table during walks; a given table, even an
+    empty one, declares every size, and shape inference holds literals to it."""
 
-    __slots__ = ("axis_sizes", "require_declared")
+    __slots__ = ("axis_sizes",)
 
-    def __init__(self, axis_sizes: Optional[Mapping[str, int]] = None,
-                 require_declared: bool = False):
-        self.axis_sizes = dict(axis_sizes) if axis_sizes else {}
-        self.require_declared = require_declared
+    def __init__(self, axis_sizes: Optional[Mapping[str, int]] = None):
+        self.axis_sizes = None if axis_sizes is None else dict(axis_sizes)
 
     def size_of(self, name: str, given: Optional[int] = None) -> int:
         """``given`` when it is not None, else the declared size of ``name``."""
         if given is not None:
             return given
-        if name not in self.axis_sizes:
+        if name not in (self.axis_sizes or {}):
             raise MissingAxis(f"axis {name!r} has no declared size")
         return self.axis_sizes[name]
 
@@ -303,7 +302,7 @@ class Literal(Expr):
 
     def _infer(self, child_shapes, ctx, env):
         shape = self._build().shape
-        if ctx.require_declared:
+        if ctx.axis_sizes is not None:
             for name in self.axis_names:
                 declared = ctx.size_of(name)
                 if declared != shape.size(name):
@@ -905,9 +904,9 @@ def _normalize_env(env) -> dict:
     return dict(env) if env else {}
 
 
-def infer_shape(e: Expr, env=None, *, axis_sizes=None, require_declared=False) -> Shape:
+def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
-    ctx = Context(axis_sizes, require_declared=require_declared)
+    ctx = Context(axis_sizes)
     _, shapes = _forward(e, _normalize_env(env), ctx, "_infer")
     return shapes[id(e)]
 
@@ -1069,10 +1068,11 @@ def lifted_derivative_check(
     """Verify that lifting a function multiplies its derivative by identities.
 
     ``build`` maps a variable expression to the function's body.  The
-    function is evaluated on a random input carrying the extension axes; its
-    full Jacobian must be block-diagonal across extension records, each
-    diagonal block equal to the base Jacobian of the corresponding slice and
-    every off-diagonal block exactly zero.
+    function is evaluated on a random input carrying the extension axes.
+    Its full Jacobian must equal the base Jacobian, lifted over the
+    extension by :func:`~ntensor.lift.extend`, times the identity between
+    every extension axis and its output copy: each diagonal block within
+    ``tolerance``, every other block exactly zero, and no NaN anywhere.
     """
     if not base_shape.orthogonal(extension):
         raise ShapeError(
@@ -1083,26 +1083,30 @@ def lifted_derivative_check(
     full_shape = base_shape.union(extension)
     data = np.asarray(rng.floats(full_shape.num_records)).reshape(full_shape.sizes)
     x_full = NamedTensor(full_shape, data)
-    full = jacobian(build(Var("x")), "x", {"x": x_full})
+    body = build(Var("x"))
+    base_out = infer_shape(body, {"x": base_shape})  # raises if it names an extension axis
+    full = jacobian(body, "x", {"x": x_full})
 
-    max_diag = 0.0
-    max_off = 0.0
-    for u in extension.records():
-        base = jacobian(build(Var("x")), "x", {"x": x_full.partial_index(u)})
+    def base_jacobian(x: NamedTensor) -> NamedTensor:
+        base = jacobian(body, "x", {"x": x})
         # output axis t is named base.rename_map[t] in base.value and
         # full.rename_map[t] in full.value
         unprime = {p: t for t, p in base.rename_map.items()}
         outputs = [unprime.get(n, n) for n in base.value.shape.names if n not in base_shape]
-        want = ops.rename_many(base.value, {
+        return ops.rename_many(base.value, {
             base.rename_map.get(t, t): full.rename_map.get(t, t) for t in outputs
         })
-        for v in extension.records():
-            primed_v = [(full.rename_map.get(n, n), i) for n, i in v]
-            got = full.value.partial_index(Record(list(u) + primed_v))
-            if u == v:
-                err = np.abs(ops.sub(got, want).array)
-                max_diag = max(max_diag, float(err.max(initial=0.0)))
-            else:
-                max_off = max(max_off, float(np.abs(got.array).max(initial=0.0)))
+
+    blocks = Shape(Axis(full.rename_map.get(t.name, t.name), t.size) for t in base_out)
+    lifted = lift.TensorFunction((base_shape,), blocks.union(base_shape), base_jacobian)
+    want = lift.extend(lifted, x_full)
+    on_diagonal = NamedTensor.scalar(1.0)
+    for ax in extension:
+        copy = Axis(full.rename_map[ax.name], ax.size)
+        on_diagonal = ops.mul(on_diagonal, ops.identity(ax, copy))
+    diagonal = _aligned(on_diagonal, full.value.shape) == 1.0
+    err = np.abs(ops.sub(full.value, want).array)
+    max_diag = float(err[diagonal].max(initial=0.0))
+    max_off = float(np.abs(full.value.array[~diagonal]).max(initial=0.0))
     passed = max_diag <= tolerance and max_off == 0.0
     return LiftReport(passed, max_diag, max_off, extension)

@@ -5,9 +5,10 @@ Subcommands: ``check`` (static diagnostics, exit 0 iff clean), ``eval``
 (print a derivative tensor), and ``zoo`` (list or run the reference
 fixtures against their loop oracles).
 
-Exit codes: 0 on success; 1 for diagnostics, a failed fixture or a
-reported error; 2 for a usage error; 3 for an internal error, printed as
-one ``error: internal: <Type>: <message>`` line instead of a traceback.
+Exit codes: 0 on success; 1 for diagnostics, a failed fixture, a file
+that cannot be read or decoded, or a reported error; 2 for a usage error;
+3 for an internal error, printed as one ``error: internal: <Type>:
+<message>`` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ INTERNAL_ERROR = 3  # exit code for an exception no handler expects
 
 
 def _load(path: str) -> lang.Program:
-    return lang.parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path!r} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    return lang.parse(text)
 
 
 def _diagnose(program: lang.Program) -> bool:
@@ -113,7 +118,7 @@ def main(argv=None) -> int:
     except (lang.ParseError, lang.RunError) as err:
         print(str(err), file=sys.stderr)
         return 1
-    except (NamedTensorError, FileNotFoundError) as err:
+    except (NamedTensorError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # the CLI reports every failure as one line

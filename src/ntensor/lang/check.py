@@ -73,8 +73,7 @@ def check(program: Program) -> List[Diagnostic]:
                 continue
             try:
                 var_shapes[st.name] = ad.infer_shape(
-                    st.expr, var_shapes,
-                    axis_sizes=axis_sizes, require_declared=True,
+                    st.expr, var_shapes, axis_sizes=axis_sizes
                 )
             except ad.ExprError as err:
                 span = err.node.span or st.span

@@ -72,10 +72,6 @@ class Program:
     statements: Tuple = ()
 
     @property
-    def bindings(self):
-        return {st.name: st for st in self.statements if isinstance(st, Binding)}
-
-    @property
     def axis_sizes(self):
         return {st.name: st.size for st in self.statements if isinstance(st, AxisDecl)}
 

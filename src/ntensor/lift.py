@@ -26,9 +26,10 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
+from .ops import _aligned
 from .tensor import NamedTensor, as_tensor
 
-__all__ = ["TensorFunction", "extend", "extend_unary", "extend_binary", "extend_multary"]
+__all__ = ["TensorFunction", "extend"]
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,13 @@ def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
 
 
 def extend(f: TensorFunction, *args) -> NamedTensor:
-    """Apply ``f`` to operands that may carry extra axes beyond their bases."""
+    """Apply ``f`` to operands that may carry extra axes beyond their bases.
+
+    Each operand is laid out once as a numpy view with dimensions (joint,
+    base), the joint axes it lacks broadcast from size 1; ``f`` then runs on
+    one slice of every view per record of the joint space, and its results
+    fill one array laid out (joint, output).
+    """
     args = tuple(as_tensor(a) for a in args)
     exts = _extensions(f, args)
     joint = Shape()
@@ -112,36 +119,15 @@ def extend(f: TensorFunction, *args) -> NamedTensor:
             joint,
             f.output_shape,
         )
-    if not len(joint):
-        return f(*args)
 
-    result_shape = f.output_shape.union(joint)
-    out = np.empty(result_shape.sizes)
-    names = result_shape.names
-    for s in joint.records():
-        slices = [
-            arg.partial_index(s.restrict_names(ext.names))
-            for arg, ext in zip(args, exts)
-        ]
-        value = f(*slices)
-        indexer = tuple(
-            s[n] - 1 if n in joint else slice(None) for n in names
-        )
-        out[indexer] = value.array
-    return NamedTensor(result_shape, out)
-
-
-def extend_unary(f: TensorFunction, a) -> NamedTensor:
-    if len(f.input_shapes) != 1:
-        raise TypeError(f"{f.name} is not unary")
-    return extend(f, a)
-
-
-def extend_binary(f: TensorFunction, a, b) -> NamedTensor:
-    if len(f.input_shapes) != 2:
-        raise TypeError(f"{f.name} is not binary")
-    return extend(f, a, b)
-
-
-def extend_multary(f: TensorFunction, *args) -> NamedTensor:
-    return extend(f, *args)
+    views = []
+    for arg, base in zip(args, f.input_shapes):
+        target = joint.union(base)
+        order = [target.names.index(n) for n in joint.names + base.names]
+        views.append(_aligned(arg, target).transpose(order))
+    out = np.empty(joint.sizes + f.output_shape.sizes)
+    for s in np.ndindex(*joint.sizes):
+        out[s] = f(*(
+            NamedTensor(base, view[s]) for base, view in zip(f.input_shapes, views)
+        )).array
+    return NamedTensor.from_array(out, joint.names + f.output_shape.names)

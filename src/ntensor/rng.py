@@ -48,13 +48,13 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def floats(self, count: int, symmetric: bool = True) -> list:
-        draw = self.next_symmetric if symmetric else self.next_float
-        return [draw() for _ in range(count)]
+    def floats(self, count: int) -> list:
+        """``count`` uniform floats in ``[-1, 1)``."""
+        return [self.next_symmetric() for _ in range(count)]
 
-    def nested(self, sizes, symmetric: bool = True):
-        """Nested lists of the given dimensions, filled in odometer order."""
+    def nested(self, sizes):
+        """Nested lists of the given dimensions in ``[-1, 1)``, filled in odometer order."""
         if not sizes:
-            return self.next_symmetric() if symmetric else self.next_float()
+            return self.next_symmetric()
         head, rest = sizes[0], sizes[1:]
-        return [self.nested(rest, symmetric) for _ in range(head)]
+        return [self.nested(rest) for _ in range(head)]

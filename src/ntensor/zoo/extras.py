@@ -8,10 +8,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .. import ops
+from .. import lift, ops
 from ..axes import Axis
 from ..errors import DivisionByZero, SizeMismatch
-from ..lift import TensorFunction, extend_unary
+from ..lift import TensorFunction
 from ..tensor import NamedTensor
 
 __all__ = [
@@ -96,7 +96,7 @@ def beam_step(scores, states, transition: TensorFunction,
     """
     if beam_size > state_size:
         raise SizeMismatch(f"beam size {beam_size} exceeds {state_size} states")
-    stepped = ops.mul(scores, extend_unary(transition, states))
+    stepped = ops.mul(scores, lift.extend(transition, states))
     best = ops.reduce(stepped, "max", ["beam"])
     k = Axis("beam", beam_size)
     return ops.maxk(best, "state", k), ops.argmaxk(best, "state", k)

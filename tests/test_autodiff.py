@@ -349,6 +349,18 @@ def test_lifted_derivative_standardize_over_chans():
     H.check_jacobian(ad.standardize(ad.var("X"), ["ax"]), "X", {"X": x})
 
 
+@pytest.mark.parametrize("base,extension", [
+    (Shape.of(ax=3), Shape.of(batch=2)),
+    (Shape.of(ax=2), Shape.of(batch=2, heads=3)),
+], ids=["batch", "batch_heads"])
+def test_lifted_derivative_nan_jacobian_fails(base, extension):
+    # the random input has negative entries, where sqrt's derivative is NaN
+    report = ad.lifted_derivative_check(lambda v: ad.sqrt(v), base, extension, seed=5)
+    assert not report.passed
+    assert math.isnan(report.max_diagonal_error), str(report)
+    assert math.isnan(report.max_off_block_abs), str(report)
+
+
 # ---------------------------------------------------------------------------
 # graph structure
 

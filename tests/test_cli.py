@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ntensor import NamedTensor, lang
 from ntensor.cli import main
 
@@ -112,6 +114,19 @@ def test_zoo_list_and_run(capsys):
 def test_missing_file(capsys):
     assert main(["check", "no_such_file.nt"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_file(kind, tmp_path, capsys):
+    # a file that cannot be read or decoded is reported like a missing one
+    path = {"missing": tmp_path / "no_such_file.nt", "directory": tmp_path,
+            "not_utf8": tmp_path / "latin1.nt"}[kind]
+    if kind == "not_utf8":
+        path.write_bytes(b"\xffaxis a = 2\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err
 
 
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):

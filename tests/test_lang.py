@@ -139,24 +139,39 @@ def test_parse_examples():
     assert isinstance(top.a.a, ad.Contract) and top.a.a.axes == ("key",)
 
 
-@pytest.mark.parametrize("source,fragment", [
-    ("C = dot{}(A", "expected"),
-    ("C = ", "expected an expression"),
-    ("axis = 3", "expected axis name"),
-    ("over = 3", "reserved"),
-    ("A = [1, 2 over (ax)", "expected"),
-    ("A = 1 +", "expected an expression"),
-    ("print", "identifier"),
-    ("A = inf", "inf"),
-    ("A = relu{ax}(B)", "axis name(s)"),
-    ("A = frobnicate{}(B)", "unknown function"),
-    ("A : Q[ax]", "R["),
-    ("A = " + "(" * 200 + "B" + ")" * 200, "nests deeper"),
-])
+SYNTAX_ERRORS = [  # (source, message fragment, (line, col))
+    ("C = dot{}(A", "expected", (1, 12)),
+    ("C = ", "expected an expression", (1, 5)),
+    ("axis = 3", "expected axis name", (1, 6)),
+    ("over = 3", "reserved", (1, 1)),
+    ("A = [1, 2 over (ax)", "expected", (1, 11)),
+    ("A = 1 +", "expected an expression", (1, 8)),
+    ("print", "identifier", (1, 6)),
+    ("A = inf", "inf", (1, 5)),
+    ("A = relu{ax}(B)", "axis name(s)", (1, 5)),
+    ("A = frobnicate{}(B)", "unknown function", (1, 5)),
+    ("A : Q[ax]", "R[", (1, 5)),
+    ("A = " + "(" * 200 + "B" + ")" * 200, "nests deeper", (1, 105)),
+    ("= 3", "expected a statement", (1, 1)),
+    ("A 3", "expected ':' or '='", (1, 3)),
+    ("axis a = 1.5", "axis size must be an integer", (1, 10)),
+    ("A = B[()->c]", "at least one axis name", (1, 8)),
+    ("A = B[a=1.5]", "index must be an integer", (1, 9)),
+    ("A = B[a b]", "expected '->' or '='", (1, 9)),
+    ("A = -B", "must prefix 'inf' or a number", (1, 5)),
+    ("A = 1 + over", "reserved", (1, 9)),
+    ("A = relu(B)", "called without braces", (1, 5)),
+    ("A = [1] by (a)", "'over (axes)' clause", (1, 9)),
+    ("A = B $ C", "unexpected character '$'", (1, 7)),
+]
+SYNTAX_SPANS = {source: span for source, _, span in SYNTAX_ERRORS}
+
+
+@pytest.mark.parametrize("source,fragment", [case[:2] for case in SYNTAX_ERRORS])
 def test_syntax_errors_have_spans(source, fragment):
     with pytest.raises(lang.ParseError) as err:
         lang.parse(source)
-    assert err.value.line >= 1 and err.value.col >= 1
+    assert (err.value.line, err.value.col) == SYNTAX_SPANS[source]
     assert fragment.lower() in err.value.bare_message.lower()
 
 
@@ -196,6 +211,20 @@ def test_invalid_corpus_rejected_with_spans(path):
     assert 1 <= first.line <= len(lines)
     assert 1 <= first.col <= len(lines[first.line - 1]) + 1
     assert first.severity == "error"
+
+
+@pytest.mark.parametrize("source,span,message", [
+    ("axis a = 0", (1, 1), "axis 'a' must have size at least 1"),
+    ("axis a = 2\nX : R[a]\nX : R[a]", (3, 1), "'X' is already defined"),
+    ("axis a = 2\nX : R[a, a]", (2, 1), "axis 'a' appears twice in the shape of 'X'"),
+    ("axis a = 2\nX = [1, 2] over (b)", (2, 5), "axis 'b' has no declared size"),
+    ("X = [1, 2] over (b)", (1, 5), "axis 'b' has no declared size"),
+], ids=["size_zero", "shape_twice", "axis_twice", "undeclared", "no_axis_lines"])
+def test_checker_diagnostic_spans(source, span, message):
+    diags = lang.check(lang.parse(source))
+    assert len(diags) == 1
+    assert (diags[0].line, diags[0].col) == span
+    assert diags[0].message == message
 
 
 def test_incompatible_diagnostic_names_both_sizes():

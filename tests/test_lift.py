@@ -16,9 +16,6 @@ from ntensor import (
     SplitMix64,
     TensorFunction,
     extend,
-    extend_binary,
-    extend_multary,
-    extend_unary,
     ops,
 )
 
@@ -39,7 +36,7 @@ def scalar2_fn(f, name="scalar2"):
 
 def test_unary_scalar_lift_is_elementwise():
     sig = scalar_fn(lambda v: 1.0 / (1.0 + math.exp(-v)))
-    out = extend_unary(sig, A)
+    out = extend(sig, A)
     assert out.shape == A.shape
     assert out.get({"height": 1, "width": 1}) == 1.0 / (1.0 + math.exp(-3.0))
 
@@ -50,7 +47,7 @@ def test_unary_reduction_lift():
         lambda x: sum(x.get({"height": i}) for i in (1, 2, 3)),
         name="sum_height",
     )
-    out = extend_unary(base, A)
+    out = extend(base, A)
     assert out.to_array(["width"]).tolist() == [6.0, 12.0, 18.0]
 
 
@@ -58,7 +55,7 @@ def test_identity_extension():
     base = TensorFunction(
         (A.shape,), A.shape, lambda x: ops.mul(x, 2.0), name="double"
     )
-    assert extend_unary(base, A) == ops.mul(A, 2.0)
+    assert extend(base, A) == ops.mul(A, 2.0)
 
 
 def test_output_collision_is_an_error():
@@ -69,10 +66,10 @@ def test_output_collision_is_an_error():
         name="softmax_renamed",
     )
     ok = NamedTensor.from_nested([0.0, 1.0], ["b"])
-    assert extend_unary(base, ok).shape == Shape.of(ax=2)
+    assert extend(base, ok).shape == Shape.of(ax=2)
     bad = NamedTensor.from_nested([[0.0, 1.0], [2.0, 3.0]], ["ax", "b"])
     with pytest.raises(ExtensionCollision):
-        extend_unary(base, bad)
+        extend(base, bad)
 
 
 def test_size_mismatch_against_base():
@@ -80,7 +77,7 @@ def test_size_mismatch_against_base():
         (Shape.of(height=4),), Shape(), lambda x: 0.0, name="needs4"
     )
     with pytest.raises(SizeMismatch):
-        extend_unary(base, A)
+        extend(base, A)
 
 
 def test_missing_base_axis():
@@ -88,15 +85,15 @@ def test_missing_base_axis():
         (Shape.of(chans=2),), Shape(), lambda x: 0.0, name="needs_chans"
     )
     with pytest.raises(MissingAxis):
-        extend_unary(base, A)
+        extend(base, A)
 
 
 def test_binary_addition_broadcasts_like_the_tables():
     add = scalar2_fn(lambda a, b: a + b)
     x = NamedTensor.from_nested([2, 7, 1], ["height"])
     y = NamedTensor.from_nested([1, 4, 1], ["width"])
-    ax = extend_binary(add, A, x)
-    ay = extend_binary(add, A, y)
+    ax = extend(add, A, x)
+    ay = extend(add, A, y)
     assert ax.get({"height": 2, "width": 2}) == 12.0
     assert ay.get({"height": 1, "width": 2}) == 5.0
     assert ax == ops.add(A, x)
@@ -107,7 +104,7 @@ def test_binary_outer_product():
     mulf = scalar2_fn(lambda a, b: a * b)
     a = NamedTensor.from_nested([1.0, 2.0], ["height"])
     b = NamedTensor.from_nested([3.0, 5.0], ["width"])
-    out = extend_binary(mulf, a, b)
+    out = extend(mulf, a, b)
     assert out.shape == Shape.of(height=2, width=2)
     for i in (1, 2):
         for j in (1, 2):
@@ -119,7 +116,7 @@ def test_binary_outer_product():
 def test_incompatible_extensions():
     add = scalar2_fn(lambda a, b: a + b)
     with pytest.raises(IncompatibleShapes):
-        extend_binary(
+        extend(
             add,
             NamedTensor.from_nested([1.0, 2.0], ["ax"]),
             NamedTensor.from_nested([1.0, 2.0, 3.0], ["ax"]),
@@ -136,7 +133,7 @@ def test_extension_crossing_base_is_rejected():
     a = NamedTensor.from_nested([1.0, 2.0], ["ax"])
     b = NamedTensor.from_nested([3.0, 4.0], ["ax"])  # 'ax' extends the scalar slot
     with pytest.raises(ExtensionCollision):
-        extend_binary(dot, a, b)
+        extend(dot, a, b)
 
 
 def test_body_shape_is_verified():
@@ -144,7 +141,15 @@ def test_body_shape_is_verified():
         (Shape(),), Shape.of(out=2), lambda x: x, name="liar"
     )
     with pytest.raises(ShapeMismatch):
-        extend_unary(lying, NamedTensor.scalar(1.0))
+        extend(lying, NamedTensor.scalar(1.0))
+
+
+def test_wrong_operand_count_is_a_type_error():
+    add = scalar2_fn(lambda a, b: a + b)
+    with pytest.raises(TypeError, match="takes 2 arguments, got 1"):
+        extend(add, A)
+    with pytest.raises(TypeError, match="takes 1 arguments, got 3"):
+        extend(scalar_fn(abs), A, A, A)
 
 
 def test_ternary_fused_multiply_add_shape():
@@ -156,7 +161,7 @@ def test_ternary_fused_multiply_add_shape():
     a = NamedTensor.from_nested([1.0, 2.0], ["p"])
     b = NamedTensor.from_nested([3.0, 4.0, 5.0], ["q"])
     c = NamedTensor.from_nested([6.0], ["r"])
-    out = extend_multary(fma, a, b, c)
+    out = extend(fma, a, b, c)
     assert out.shape == Shape.of(p=2, q=3, r=1)
     assert out.get({"p": 2, "q": 1, "r": 1}) == 2.0 * 3.0 + 6.0
 
@@ -178,7 +183,7 @@ def test_attention_lift_query_sequence():
     q = random_tensor(rng, Shape.of(**{"seq'": 3, "key": 2}))
     k = random_tensor(rng, Shape.of(seq=3, key=2))
     v = random_tensor(rng, Shape.of(seq=3, val=2))
-    out = extend_multary(base, q, k, v)
+    out = extend(base, q, k, v)
     assert out.shape == Shape.of(**{"seq'": 3, "val": 2})
     for i in (1, 2, 3):
         slice_out = base(q.partial_index({"seq'": i}), k, v)
@@ -192,7 +197,7 @@ def test_attention_lift_batch_heads_equals_independent_calls():
     q = random_tensor(rng, Shape.of(key=2, batch=2, heads=2))
     k = random_tensor(rng, Shape.of(seq=3, key=2, batch=2, heads=2))
     v = random_tensor(rng, Shape.of(seq=3, val=2, batch=2, heads=2))
-    out = extend_multary(base, q, k, v)
+    out = extend(base, q, k, v)
     assert out.shape == Shape.of(val=2, batch=2, heads=2)
     for rec in ext.records():
         expected = base(
@@ -239,8 +244,8 @@ def test_nesting_equals_joint_extension():
         (base_shape,), base_shape, lambda x: ops.softmax(x, ["u"]), name="sm"
     )
     full = random_tensor(rng, Shape.of(u=3, p=2, q=2))
-    joint = extend_unary(softmax_end, full)
+    joint = extend(softmax_end, full)
     # lift slice-by-slice over p only, then assemble: must agree with joint
     for i in (1, 2):
-        inner = extend_unary(softmax_end, full.partial_index({"p": i}))
+        inner = extend(softmax_end, full.partial_index({"p": i}))
         assert joint.partial_index({"p": i}) == inner
