@@ -489,7 +489,12 @@ class Contract(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
-        return (ops.mul(g, b), ops.mul(g, a))
+        sa, sb = a.shape, b.shape
+        # each side sums the other operand's own axes, so _fit has none left
+        return (
+            ops.contract(g, b, [n for n in sb.names if n not in sa]),
+            ops.contract(g, a, [n for n in sa.names if n not in sb]),
+        )
 
 
 class Softmax(Expr):
@@ -500,7 +505,7 @@ class Softmax(Expr):
 
     def _grads(self, g, child_values, value, ctx):
         y = value
-        inner = ops.reduce(ops.mul(g, y), "sum", self.axes)
+        inner = ops.contract(g, y, self.axes)
         return (ops.mul(y, ops.sub(g, inner)),)
 
 
@@ -538,7 +543,7 @@ class Standardize(Expr):
         t1 = ops.div(g, q)
         t2 = ops.div(ops.reduce(g, "sum", self.axes), ops.mul(n, q))
         t3 = ops.div(
-            ops.mul(xc, ops.reduce(ops.mul(g, xc), "sum", self.axes)),
+            ops.mul(xc, ops.contract(g, xc, self.axes)),
             ops.mul(n, ops.pow_(q, 3.0)),
         )
         return (ops.sub(ops.sub(t1, t2), t3),)

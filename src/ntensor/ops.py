@@ -188,18 +188,19 @@ def reduce(a, kind: str, axes: Sequence[str]) -> NamedTensor:
         return a
     pos = _axis_positions(a.shape, axes)
     arr = a.array
-    if kind == "sum":
-        out = arr.sum(axis=pos)
-    elif kind == "min":
-        out = arr.min(axis=pos)
-    elif kind == "max":
-        out = arr.max(axis=pos)
-    elif kind == "mean":
-        out = arr.mean(axis=pos)
-    elif kind == "var":
-        out = arr.var(axis=pos)
-    else:  # norm
-        out = np.sqrt((arr * arr).sum(axis=pos))
+    with np.errstate(all="ignore"):
+        if kind == "sum":
+            out = arr.sum(axis=pos)
+        elif kind == "min":
+            out = arr.min(axis=pos)
+        elif kind == "max":
+            out = arr.max(axis=pos)
+        elif kind == "mean":
+            out = arr.mean(axis=pos)
+        elif kind == "var":
+            out = arr.var(axis=pos)
+        else:  # norm
+            out = np.sqrt((arr * arr).sum(axis=pos))
     return NamedTensor(out_shape, out)
 
 
@@ -216,16 +217,51 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
     """Elementwise product, then summation over the named axes.
 
     With an empty axis list this is the plain (broadcasting) elementwise
-    product.  An axis present in only one operand is simply summed out of
-    the product.
+    product.  Otherwise an axis present in only one operand is summed out
+    of that operand first, and the rest is one batched ``np.matmul``:
+    ``a`` laid out as (batch, free in ``a``, summed) times ``b`` as (batch,
+    summed, free in ``b``), where batch axes are shared and kept.  The
+    product over the axis union is never built, so temporary memory is
+    bounded by the operands plus the output.  The summation order is
+    matmul's, not that of summing the elementwise product, so the last
+    bits of a result may differ from ``reduce(mul(a, b), "sum", axes)``.
     """
     a, b = as_tensor(a), as_tensor(b)
     out_shape = contract_shape(a.shape, b.shape, axes)
-    union = a.shape.union(b.shape)
-    prod = _aligned(a, union) * _aligned(b, union)
-    if axes:
-        prod = prod.sum(axis=_axis_positions(union, axes))
-    return NamedTensor(out_shape, prod)
+    if not axes:
+        return _binary(np.multiply, a, b)
+    summed = set(axes)
+    sa, sb = a.shape, b.shape
+    with np.errstate(all="ignore"):
+        x, xn = _sum_alone(a, sb, summed)
+        y, yn = _sum_alone(b, sa, summed)
+        batch = [n for n in xn if n in sb and n not in summed]
+        inner = [n for n in xn if n in summed]
+        free_a = [n for n in xn if n not in sb]
+        free_b = [n for n in yn if n not in sa]
+        nb, nk = _size(sa, batch), _size(sa, inner)
+        x = x.transpose([xn.index(n) for n in batch + free_a + inner])
+        y = y.transpose([yn.index(n) for n in batch + inner + free_b])
+        prod = np.matmul(x.reshape(nb, _size(sa, free_a), nk),
+                         y.reshape(nb, nk, _size(sb, free_b)))
+    names = batch + free_a + free_b
+    order = sorted(range(len(names)), key=names.__getitem__)
+    dims = [out_shape.size(n) for n in names]
+    return NamedTensor(out_shape, prod.reshape(dims).transpose(order))
+
+
+def _sum_alone(t: NamedTensor, other: Shape, summed: set) -> tuple:
+    """``t``'s array with the summed axes ``other`` lacks summed out, and
+    the names of its remaining dimensions."""
+    names = t.shape.names
+    alone = tuple(i for i, n in enumerate(names) if n in summed and n not in other)
+    if not alone:
+        return t.array, names
+    return t.array.sum(axis=alone), tuple(n for n in names if n not in summed or n in other)
+
+
+def _size(shape: Shape, names) -> int:
+    return math.prod([shape.size(n) for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +632,10 @@ def standardize(a, axes: Sequence[str], eps: float = 1e-5) -> NamedTensor:
     standardize_shape(a.shape, axes)
     pos = _axis_positions(a.shape, axes)
     arr = a.array
-    m = arr.mean(axis=pos, keepdims=True)
-    v = arr.var(axis=pos, keepdims=True)
-    return NamedTensor(a.shape, (arr - m) / np.sqrt(v + eps))
+    with np.errstate(all="ignore"):
+        m = arr.mean(axis=pos, keepdims=True)
+        v = arr.var(axis=pos, keepdims=True)
+        return NamedTensor(a.shape, (arr - m) / np.sqrt(v + eps))
 
 
 # ---------------------------------------------------------------------------

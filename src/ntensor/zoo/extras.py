@@ -78,7 +78,7 @@ def kmeans_step(points, centers) -> NamedTensor:
     """
     distances = ops.reduce(ops.sub(centers, points), "norm", ["d"])
     assign = ops.argmin(distances, ["clusters"])
-    weighted = ops.reduce(ops.mul(assign, points), "sum", ["batch"])
+    weighted = ops.contract(assign, points, ["batch"])
     mass = ops.reduce(assign, "sum", ["batch"])
     new = weighted.array / np.where(mass.array == 0.0, 1.0, mass.array)[:, None]
     keep = (mass.array == 0.0)[:, None]
@@ -109,14 +109,8 @@ def mvn_density(x, mean, cov) -> NamedTensor:
     {d1, d2} symmetric positive definite with all three sizes equal.
     """
     centered = ops.sub(x, mean)
-    quad = ops.contract(
-        ops.inv(cov, "d1", "d2"),
-        ops.mul(
-            ops.rename(centered, "d", "d1"),
-            ops.rename(centered, "d", "d2"),
-        ),
-        ["d1", "d2"],
-    )
+    half = ops.contract(ops.inv(cov, "d1", "d2"), ops.rename(centered, "d", "d1"), ["d1"])
+    quad = ops.contract(half, ops.rename(centered, "d", "d2"), ["d2"])
     dim = mean.shape.size("d")
     numerator = ops.exp(ops.div(ops.neg(quad), 2.0))
     denominator = math.sqrt((2.0 * math.pi) ** dim) * ops.sqrt(ops.det(cov, "d1", "d2"))

@@ -78,6 +78,27 @@ def test_eval_non_finite_det_is_nan_without_warning(tmp_path):
     assert result.stderr == ""
 
 
+def test_eval_non_finite_contract_and_reductions_are_nan_without_warning(tmp_path):
+    source = tmp_path / "ieee.nt"
+    source.write_text(
+        "axis a = 2\n"
+        "X = [inf, 1] over (a)\nY = [0, 2] over (a)\nD = X .{a} Y\n"
+        "Z = [inf, -inf] over (a)\n"
+        "S = sum{a}(Z)\nV = var{a}(Z)\nN = standardize{a}(Z)\n"
+        "print D\nprint S\nprint V\nprint N\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "ntensor.cli", "eval", str(source)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == (
+        "# D\nshape:\nnan\n# S\nshape:\nnan\n# V\nshape:\nnan\n"
+        "# N\nshape: a=2\nnan nan\n"
+    )
+    assert result.stderr == ""
+
+
 def test_grad_prints_tensor(capsys):
     program = str(CORPUS / "valid" / "softmax_grad.nt")
     assert main(["grad", program, "--of", "Loss", "--wrt", "X"]) == 0

@@ -1,6 +1,7 @@
 """The operation set against element-level loop references and worked values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,9 @@ def test_contract_worked_values():
 
 
 def test_contract_equals_reduce_of_product():
+    # contract sums in matmul's order, so float results may differ from
+    # reduce-of-product in the last bits; on integer values every order is
+    # exact.
     rng = SplitMix64(22)
     for _ in range(20):
         sa = H.random_shape(rng, max_axes=3, max_size=4)
@@ -104,7 +108,63 @@ def test_contract_equals_reduce_of_product():
         if not len(union):
             continue
         axes = H.pick_subset(rng, union.names)
-        assert ops.contract(a, b, axes) == ops.reduce(ops.mul(a, b), "sum", axes)
+        H.assert_matches(ops.contract(a, b, axes), H.loop_contract(a, b, axes), atol=1e-12)
+        ia = NamedTensor(sa, np.round(8.0 * a.array))
+        ib = NamedTensor(sb, np.round(8.0 * b.array))
+        assert ops.contract(ia, ib, axes) == ops.reduce(ops.mul(ia, ib), "sum", axes)
+
+
+def test_contract_matches_loop_oracle_on_random_groupings():
+    # Each name lands in a only, b only or both, and is contracted or kept,
+    # so every group of the matmul layout (batch, free, summed, and axes
+    # summed out of one operand) turns up, interleaved in canonical order.
+    pool = ("p", "q", "r", "s", "t", "u", "v")
+    rng = SplitMix64(71)
+    seen = set()
+    for case in range(60):
+        names = H.pick_subset(rng, pool, min_count=4)
+        in_a, in_b, axes = [], [], []
+        for n in names:
+            side = rng.next_int(0, 3)  # 0 a only, 1 b only, else both
+            size = rng.next_int(1, 3)
+            if side != 1:
+                in_a.append(Axis(n, size))
+            if side != 0:
+                in_b.append(Axis(n, size))
+            if case % 10 == 0 or rng.next_int(0, 1):
+                axes.append(n)
+        sa, sb = Shape(in_a), Shape(in_b)
+        a, b = H.random_tensor(rng, sa), H.random_tensor(rng, sb)
+        if not axes:
+            continue
+        H.assert_matches(ops.contract(a, b, axes), H.loop_contract(a, b, axes), atol=1e-12)
+        # a's layout rank of each name it keeps: batch 0, free 1, summed 2
+        ranks = [1 if n not in sb else 2 if n in axes else 0
+                 for n in sa.names if n in sb or n not in axes]
+        covers = {
+            "a-alone summed": any(n in axes and n not in sb for n in sa.names),
+            "b-alone summed": any(n in axes and n not in sa for n in sb.names),
+            "batch": 0 in ranks,
+            "scalar": len(axes) == len(sa.union(sb)),
+            "four axes": len(sa) >= 4 and len(sb) >= 4,
+            "interleaved": ranks != sorted(ranks),
+        }
+        seen |= {name for name, hit in covers.items() if hit}
+    assert seen == set(covers)
+
+
+def test_contract_memory_is_bounded_by_operands_and_output():
+    rng = np.random.default_rng(5)
+    a = NamedTensor.from_array(rng.standard_normal((4, 120, 150)), ["b", "i", "k"])
+    b = NamedTensor.from_array(rng.standard_normal((4, 150, 130)), ["b", "k", "j"])
+    tracemalloc.start()
+    try:
+        out = ops.contract(a, b, ["k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == Shape.of(b=4, i=120, j=130)
+    assert peak <= 4 * (a.array.nbytes + b.array.nbytes + out.array.nbytes)
 
 
 def test_matrix_product_against_triple_loop():
