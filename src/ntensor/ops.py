@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._blas import one_thread
 from .axes import Axis, Shape
 from .errors import (
     AllMasked,
@@ -225,6 +226,7 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
     bounded by the operands plus the output.  The summation order is
     matmul's, not that of summing the elementwise product, so the last
     bits of a result may differ from ``reduce(mul(a, b), "sum", axes)``.
+    The matmul runs on one BLAS thread (``_blas.one_thread``).
     """
     a, b = as_tensor(a), as_tensor(b)
     out_shape = contract_shape(a.shape, b.shape, axes)
@@ -242,8 +244,9 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
         nb, nk = _size(sa, batch), _size(sa, inner)
         x = x.transpose([xn.index(n) for n in batch + free_a + inner])
         y = y.transpose([yn.index(n) for n in batch + inner + free_b])
-        prod = np.matmul(x.reshape(nb, _size(sa, free_a), nk),
-                         y.reshape(nb, nk, _size(sb, free_b)))
+        with one_thread():
+            prod = np.matmul(x.reshape(nb, _size(sa, free_a), nk),
+                             y.reshape(nb, nk, _size(sb, free_b)))
     names = batch + free_a + free_b
     order = sorted(range(len(names)), key=names.__getitem__)
     dims = [out_shape.size(n) for n in names]

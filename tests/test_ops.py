@@ -21,6 +21,7 @@ from ntensor import (
     SplitMix64,
     ops,
 )
+from ntensor import _blas
 
 import helpers as H
 
@@ -165,6 +166,27 @@ def test_contract_memory_is_bounded_by_operands_and_output():
         tracemalloc.stop()
     assert out.shape == Shape.of(b=4, i=120, j=130)
     assert peak <= 4 * (a.array.nbytes + b.array.nbytes + out.array.nbytes)
+
+
+def test_contract_runs_blas_on_one_thread(monkeypatch):
+    # More BLAS threads make a call's time depend on other CPUs being idle
+    # (see ntensor._blas).
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if _blas._THREADS is None:
+        assert blas != "scipy-openblas"
+        pytest.skip(f"no thread control for numpy's BLAS ({blas})")
+    get, set_ = _blas._THREADS
+    seen, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda x, y: seen.append(get()) or matmul(x, y))
+    saved = get()
+    set_(2)
+    try:
+        a = NamedTensor.from_array(np.ones((64, 64)), ["i", "k"])
+        out = ops.contract(a, ops.rename(a, "i", "j"), ["k"])
+        assert seen == [1] and get() == 2
+    finally:
+        set_(saved)
+    assert out.to_array(["i", "j"]).tolist() == np.full((64, 64), 64.0).tolist()
 
 
 def test_matrix_product_against_triple_loop():
