@@ -308,8 +308,7 @@ class Literal(Expr):
                 if declared != shape.size(name):
                     raise SizeMismatch(
                         f"literal gives {name!r} size {shape.size(name)}, "
-                        f"declared size is {declared}",
-                        shape,
+                        f"declared size is {declared}"
                     )
         return shape
 
@@ -601,9 +600,7 @@ class Split(Expr):
         n = shape.size(self.src)
         inner = ctx.size_of(self.inner_name, self.inner_size)
         if inner < 1 or n % inner != 0:
-            raise SizeMismatch(
-                f"cannot split {self.src}[{n}] into blocks of {inner}", shape
-            )
+            raise SizeMismatch(f"cannot split {self.src}[{n}] into blocks of {inner}")
         outer = Axis(self.outer_name, n // inner)
         return (self.src, outer, Axis(self.inner_name, inner))
 
@@ -953,27 +950,28 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
     """
     cots: Dict[int, NamedTensor] = {id(root): cotangent}
     total: Optional[NamedTensor] = None
-    for node in reversed(order):
-        g = cots.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, Var):
-            if node.name == wrt:
-                total = g if total is None else ops.add(total, g)
-            continue
-        if not node.children():
-            continue
-        kids = [vals[id(c)] for c in node.children()]
-        try:
-            grads = node._grads(g, kids, vals[id(node)], ctx)
-        except NamedTensorError as err:
-            raise ExprError(node, err) from err
-        for child, kid, cg in zip(node.children(), kids, grads):
-            if cg is None:
+    with np.errstate(all="ignore"):  # VJP rules follow IEEE, as the kernels do
+        for node in reversed(order):
+            g = cots.pop(id(node), None)
+            if g is None:
                 continue
-            cg = _fit(cg, kid.shape, probes)
-            prev = cots.get(id(child))
-            cots[id(child)] = cg if prev is None else ops.add(prev, cg)
+            if isinstance(node, Var):
+                if node.name == wrt:
+                    total = g if total is None else ops.add(total, g)
+                continue
+            if not node.children():
+                continue
+            kids = [vals[id(c)] for c in node.children()]
+            try:
+                grads = node._grads(g, kids, vals[id(node)], ctx)
+            except NamedTensorError as err:
+                raise ExprError(node, err) from err
+            for child, kid, cg in zip(node.children(), kids, grads):
+                if cg is None:
+                    continue
+                cg = _fit(cg, kid.shape, probes)
+                prev = cots.get(id(child))
+                cots[id(child)] = cg if prev is None else ops.add(prev, cg)
     return total if total is not None else NamedTensor.zeros(var_shape.union(probes))
 
 
@@ -993,9 +991,7 @@ def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
     if cotangent.shape != vals[id(e)].shape:
         raise ShapeMismatch(
             f"cotangent shape {cotangent.shape} does not match "
-            f"expression shape {vals[id(e)].shape}",
-            cotangent.shape,
-            vals[id(e)].shape,
+            f"expression shape {vals[id(e)].shape}"
         )
     return _backward(order, vals, e, cotangent, wrt, as_tensor(env[wrt]).shape, ctx)
 
@@ -1080,10 +1076,7 @@ def lifted_derivative_check(
     ``tolerance``, every other block exactly zero, and no NaN anywhere.
     """
     if not base_shape.orthogonal(extension):
-        raise ShapeError(
-            f"extension {extension} overlaps base shape {base_shape}",
-            base_shape, extension,
-        )
+        raise ShapeError(f"extension {extension} overlaps base shape {base_shape}")
     rng = SplitMix64(seed)
     full_shape = base_shape.union(extension)
     data = np.asarray(rng.floats(full_shape.num_records)).reshape(full_shape.sizes)

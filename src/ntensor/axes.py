@@ -121,7 +121,7 @@ class Shape:
         try:
             return self._sizes[name]
         except KeyError:
-            raise MissingAxis(f"axis {name!r} not in shape {self}", self) from None
+            raise MissingAxis(f"axis {name!r} not in shape {self}") from None
 
     def axis(self, name: str) -> Axis:
         return Axis(name, self.size(name))
@@ -160,9 +160,7 @@ class Shape:
     def union(self, other: "Shape") -> "Shape":
         """Set union of axes; raises :class:`IncompatibleShapes` on size conflicts."""
         if not self.compatible(other):
-            raise IncompatibleShapes(
-                f"incompatible shapes {self} and {other}", self, other
-            )
+            raise IncompatibleShapes(f"incompatible shapes {self} and {other}")
         merged = dict(self._sizes)
         merged.update(other._sizes)
         return Shape(Axis(n, s) for n, s in merged.items())
@@ -175,9 +173,6 @@ class Shape:
     def keep(self, names: Iterable[str]) -> "Shape":
         """The sub-shape on exactly the given names; all must be present."""
         return Shape(self.axis(n) for n in names)
-
-    def issubset(self, other: "Shape") -> bool:
-        return all(other._sizes.get(ax.name) == ax.size for ax in self._axes)
 
     # -- record space -----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Exception types raised by the tensor algebra layers.
 
 All library errors derive from :class:`NamedTensorError`; shape-algebra
-violations additionally derive from :class:`ShapeError` and carry the
-offending shapes so callers (notably the language checker) can report them.
+violations additionally derive from :class:`ShapeError`.  An error is its
+message: the message names the axes and shapes involved.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ class NamedTensorError(Exception):
 
 
 class ShapeError(NamedTensorError):
-    """A shape-algebra violation; ``shapes`` holds the shapes involved."""
-
-    def __init__(self, message: str, *shapes):
-        super().__init__(message)
-        self.shapes = tuple(shapes)
+    """A shape-algebra violation."""
 
 
 class MissingAxis(ShapeError):

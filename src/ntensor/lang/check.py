@@ -27,8 +27,8 @@ def check(program: Program) -> List[Diagnostic]:
     defined: Set[str] = set()
     poisoned: Set[str] = set()
 
-    def report(span, message, shapes=()):
-        diags.append(Diagnostic("error", span[0], span[1], message, tuple(shapes)))
+    def report(span, message):
+        diags.append(Diagnostic("error", span[0], span[1], message))
 
     for st in program.statements:
         if isinstance(st, AxisDecl):
@@ -77,7 +77,7 @@ def check(program: Program) -> List[Diagnostic]:
                 )
             except ad.ExprError as err:
                 span = err.node.span or st.span
-                report(span, str(err.error), getattr(err.error, "shapes", ()))
+                report(span, str(err.error))
                 poisoned.add(st.name)
 
         elif isinstance(st, Directive):

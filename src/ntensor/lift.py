@@ -53,9 +53,7 @@ class TensorFunction:
         if out.shape != self.output_shape:
             raise ShapeMismatch(
                 f"base function {self.name} produced shape {out.shape}, "
-                f"declared {self.output_shape}",
-                out.shape,
-                self.output_shape,
+                f"declared {self.output_shape}"
             )
         return out
 
@@ -70,16 +68,12 @@ def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
         for ax in base:
             if ax.name not in arg.shape:
                 raise MissingAxis(
-                    f"{f.name}: operand of shape {arg.shape} lacks base axis {ax!r}",
-                    arg.shape,
-                    base,
+                    f"{f.name}: operand of shape {arg.shape} lacks base axis {ax!r}"
                 )
             if arg.shape.size(ax.name) != ax.size:
                 raise SizeMismatch(
                     f"{f.name}: operand has {ax.name}[{arg.shape.size(ax.name)}], "
-                    f"base expects {ax!r}",
-                    arg.shape,
-                    base,
+                    f"base expects {ax!r}"
                 )
         exts.append(arg.shape.drop(base.names))
     # An extension name may not be a base name of another operand; the
@@ -92,9 +86,7 @@ def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
             if clash:
                 raise ExtensionCollision(
                     f"{f.name}: extension axis {clash[0]!r} of operand {i + 1} "
-                    f"is a base axis of operand {j + 1}",
-                    ext,
-                    base,
+                    f"is a base axis of operand {j + 1}"
                 )
     return exts
 
@@ -115,9 +107,7 @@ def extend(f: TensorFunction, *args) -> NamedTensor:
     if not joint.orthogonal(f.output_shape):
         clash = [n for n in joint.names if n in f.output_shape]
         raise ExtensionCollision(
-            f"{f.name}: extension axis {clash[0]!r} collides with the output shape",
-            joint,
-            f.output_shape,
+            f"{f.name}: extension axis {clash[0]!r} collides with the output shape"
         )
 
     views = []

@@ -25,7 +25,6 @@ from .errors import (
     ExtensionCollision,
     IndexOutOfRange,
     InvalidRecord,
-    MissingAxis,
     NameCollision,
     ShapeError,
     SingularMatrix,
@@ -83,8 +82,7 @@ def _check_axis_list(shape: Shape, axes: Sequence[str]) -> tuple:
     if len(set(axes)) != len(axes):
         raise ShapeError(f"axis list {list(axes)} contains duplicates")
     for a in axes:
-        if a not in shape:
-            raise MissingAxis(f"axis {a!r} not in shape {shape}", shape)
+        shape.size(a)  # raises MissingAxis
     return axes
 
 
@@ -123,44 +121,39 @@ def pow_(a, b) -> NamedTensor:
     return _binary(np.power, a, b)
 
 
-def neg(a) -> NamedTensor:
+def _unary(f: Callable, a) -> NamedTensor:
     a = as_tensor(a)
-    return NamedTensor(a.shape, -a.array)
+    with np.errstate(all="ignore"):
+        return NamedTensor(a.shape, f(a.array))
+
+
+def neg(a) -> NamedTensor:
+    return _unary(np.negative, a)
 
 
 def map_elementwise(f: Callable[[float], float], a) -> NamedTensor:
     """Apply an arbitrary scalar function to every entry."""
-    a = as_tensor(a)
-    out = np.vectorize(f, otypes=[np.float64])(a.array) if a.array.size else a.array
-    return NamedTensor(a.shape, np.asarray(out, dtype=np.float64).reshape(a.shape.sizes))
+    return _unary(np.vectorize(f, otypes=[np.float64]), a)
 
 
 def relu(a) -> NamedTensor:
-    a = as_tensor(a)
-    return NamedTensor(a.shape, np.maximum(a.array, 0.0))
+    return _unary(lambda x: np.maximum(x, 0.0), a)
 
 
 def sigmoid(a) -> NamedTensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        return NamedTensor(a.shape, 1.0 / (1.0 + np.exp(-a.array)))
+    return _unary(lambda x: 1.0 / (1.0 + np.exp(-x)), a)
 
 
 def exp(a) -> NamedTensor:
-    a = as_tensor(a)
-    return NamedTensor(a.shape, np.exp(a.array))
+    return _unary(np.exp, a)
 
 
 def log(a) -> NamedTensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return NamedTensor(a.shape, np.log(a.array))
+    return _unary(np.log, a)
 
 
 def sqrt(a) -> NamedTensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        return NamedTensor(a.shape, np.sqrt(a.array))
+    return _unary(np.sqrt, a)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,9 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
     """Softmax over the joint record space of the given axes.
 
     Entries of ``-inf`` contribute zero mass (mask semantics); a fiber that
-    is entirely ``-inf`` raises :class:`AllMasked`.  Computation subtracts
-    the fiber maximum for stability.
+    is entirely ``-inf`` raises :class:`AllMasked`.  A fiber holding NaN or
+    ``+inf`` is NaN throughout (``+inf - +inf`` is NaN).  Computation
+    subtracts the fiber maximum for stability.
     """
     a = as_tensor(a)
     out_shape = softmax_shape(a.shape, axes)
@@ -291,8 +285,9 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
     m = arr.max(axis=pos, keepdims=True)
     if np.any(np.isneginf(m)):
         raise AllMasked(f"softmax over {list(axes)}: a fiber is entirely -inf")
-    e = np.exp(arr - m)
-    return NamedTensor(out_shape, e / e.sum(axis=pos, keepdims=True))
+    with np.errstate(all="ignore"):
+        e = np.exp(arr - m)
+        return NamedTensor(out_shape, e / e.sum(axis=pos, keepdims=True))
 
 
 def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
@@ -322,10 +317,9 @@ def argmin(a, axes: Sequence[str]) -> NamedTensor:
 # renaming and reshaping
 
 def rename_shape(s: Shape, old: str, new: str) -> Shape:
-    if old not in s:
-        raise MissingAxis(f"axis {old!r} not in shape {s}", s)
+    s.size(old)  # raises MissingAxis
     if new != old and new in s:
-        raise NameCollision(f"axis {new!r} already in shape {s}", s)
+        raise NameCollision(f"axis {new!r} already in shape {s}")
     return Shape(Axis(new if ax.name == old else ax.name, ax.size) for ax in s)
 
 
@@ -343,10 +337,9 @@ def rename_many(a, mapping: Mapping[str, str]) -> NamedTensor:
     names = list(a.shape.names)
     new_names = [mapping.get(n, n) for n in names]
     if len(set(new_names)) != len(new_names):
-        raise NameCollision(f"renaming {dict(mapping)} collides on {a.shape}", a.shape)
+        raise NameCollision(f"renaming {dict(mapping)} collides on {a.shape}")
     for old in mapping:
-        if old not in a.shape:
-            raise MissingAxis(f"axis {old!r} not in shape {a.shape}", a.shape)
+        a.shape.size(old)  # raises MissingAxis
     return NamedTensor.from_array(a.array, new_names)
 
 
@@ -357,12 +350,10 @@ def merge_shape(s: Shape, parts: Sequence[str], merged: Axis) -> Shape:
     _check_axis_list(s, parts)
     expected = math.prod(s.size(p) for p in parts)
     if merged.size != expected:
-        raise SizeMismatch(
-            f"merged axis {merged!r} must have size {expected}", s
-        )
+        raise SizeMismatch(f"merged axis {merged!r} must have size {expected}")
     rest = s.drop(parts)
     if merged.name in rest:
-        raise NameCollision(f"axis {merged.name!r} already in shape {s}", s)
+        raise NameCollision(f"axis {merged.name!r} already in shape {s}")
     return rest.union(Shape([merged]))
 
 
@@ -384,17 +375,14 @@ def merge_axes(a, parts: Sequence[str], merged: Axis) -> NamedTensor:
 
 
 def split_shape(s: Shape, src: str, outer: Axis, inner: Axis) -> Shape:
-    if src not in s:
-        raise MissingAxis(f"axis {src!r} not in shape {s}", s)
-    if outer.size * inner.size != s.size(src):
-        raise SizeMismatch(
-            f"cannot split {src}[{s.size(src)}] into {outer!r} x {inner!r}", s
-        )
+    n = s.size(src)
+    if outer.size * inner.size != n:
+        raise SizeMismatch(f"cannot split {src}[{n}] into {outer!r} x {inner!r}")
     rest = s.drop([src])
     if outer.name in rest:
-        raise NameCollision(f"axis {outer.name!r} already in shape {s}", s)
+        raise NameCollision(f"axis {outer.name!r} already in shape {s}")
     if inner.name in rest or inner.name == outer.name or inner.name == src:
-        raise NameCollision(f"axis {inner.name!r} already in shape {s}", s)
+        raise NameCollision(f"axis {inner.name!r} already in shape {s}")
     return rest.union(Shape([outer, inner]))
 
 
@@ -416,13 +404,11 @@ def split_axis(a, src: str, outer: Axis, inner: Axis) -> NamedTensor:
 
 
 def unroll_shape(s: Shape, seq: str, kernel: Axis) -> Shape:
-    if seq not in s:
-        raise MissingAxis(f"axis {seq!r} not in shape {s}", s)
-    if kernel.name in s:
-        raise NameCollision(f"axis {kernel.name!r} already in shape {s}", s)
     n = s.size(seq)
+    if kernel.name in s:
+        raise NameCollision(f"axis {kernel.name!r} already in shape {s}")
     if kernel.size > n:
-        raise SizeMismatch(f"kernel {kernel!r} longer than {seq}[{n}]", s)
+        raise SizeMismatch(f"kernel {kernel!r} longer than {seq}[{n}]")
     out = s.drop([seq])
     return out.union(Shape([Axis(seq, n - kernel.size + 1), kernel]))
 
@@ -442,12 +428,9 @@ def unroll(a, seq: str, kernel: Axis) -> NamedTensor:
 # advanced indexing
 
 def index_select_shape(sa: Shape, ax: str, si: Shape) -> Shape:
-    if ax not in sa:
-        raise MissingAxis(f"axis {ax!r} not in shape {sa}", sa)
+    sa.size(ax)  # raises MissingAxis
     if ax in si:
-        raise ExtensionCollision(
-            f"index tensor may not itself carry the selected axis {ax!r}", si
-        )
+        raise ExtensionCollision(f"index tensor may not itself carry the selected axis {ax!r}")
     rest = sa.drop([ax])
     return rest.union(si)
 
@@ -477,12 +460,11 @@ def index_select(a, ax: str, indices) -> NamedTensor:
 # top-k
 
 def maxk_shape(s: Shape, ax: str, k: Axis) -> Shape:
-    if ax not in s:
-        raise MissingAxis(f"axis {ax!r} not in shape {s}", s)
+    n = s.size(ax)
     if k.name in s:
-        raise NameCollision(f"axis {k.name!r} already in shape {s}", s)
-    if k.size > s.size(ax):
-        raise SizeMismatch(f"cannot take top {k.size} of {ax}[{s.size(ax)}]", s)
+        raise NameCollision(f"axis {k.name!r} already in shape {s}")
+    if k.size > n:
+        raise SizeMismatch(f"cannot take top {k.size} of {ax}[{n}]")
     return s.drop([ax]).union(Shape([k]))
 
 
@@ -535,13 +517,9 @@ def argmaxk(a, ax: str, k: Axis) -> NamedTensor:
 def _matrix_shape(s: Shape, rows: str, cols: str) -> None:
     if rows == cols:
         raise ShapeError(f"matrix axes must be distinct, got {rows!r} twice")
-    for name in (rows, cols):
-        if name not in s:
-            raise MissingAxis(f"axis {name!r} not in shape {s}", s)
-    if s.size(rows) != s.size(cols):
-        raise SizeMismatch(
-            f"matrix axes {rows}[{s.size(rows)}] and {cols}[{s.size(cols)}] differ", s
-        )
+    n, m = s.size(rows), s.size(cols)
+    if n != m:
+        raise SizeMismatch(f"matrix axes {rows}[{n}] and {cols}[{m}] differ")
 
 
 def det_shape(s: Shape, rows: str, cols: str) -> Shape:
@@ -563,7 +541,10 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
     and a row whose multiplier is 0 is left untouched.  A pivot below
     ``PIVOT_RTOL`` times the largest |entry| of its own matrix raises
     :class:`SingularMatrix`; a matrix holding NaN or ±inf gets a NaN
-    determinant and an all-NaN inverse instead.
+    determinant and an all-NaN inverse instead.  Each matrix is eliminated
+    scaled by the power of two ``2**-k`` that brings its largest |entry|
+    into [1, 2), so no entry overflows; powers of two scale exactly, so
+    pivots and the singularity test are those of the unscaled matrix.
 
     Returns the determinants (an array over the other axes of ``a``, in
     order) and the inverses laid out like ``a``, transposed so that
@@ -579,17 +560,21 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
     scale = np.abs(m).max(axis=(1, 2))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
+    k = np.frexp(scale)[1] - 1
+    m = np.ldexp(m, -k[:, None, None])
+    tol = PIVOT_RTOL * np.ldexp(scale, -k)  # each scaled matrix's scale is in [1, 2)
     aug = np.concatenate([m, np.broadcast_to(eye, m.shape)], axis=2)  # [m | I]
     dets = np.ones(len(m))
     at = np.arange(len(m))
     for c in range(n):
         p = c + np.argmax(np.abs(aug[:, c:, c]), axis=1)
         pivot = aug[at, p, c]
-        low = np.abs(pivot) < PIVOT_RTOL * scale
+        low = np.abs(pivot) < tol
         if low.any():
             i = int(np.argmax(low))
             raise SingularMatrix(
-                f"pivot {pivot[i]:.3g} below {PIVOT_RTOL:g} of matrix scale {scale[i]:.3g}"
+                f"pivot {np.ldexp(pivot[i], k[i]):.3g} below {PIVOT_RTOL:g} "
+                f"of matrix scale {scale[i]:.3g}"
             )
         dets = np.where(p != c, -dets, dets) * pivot
         aug[:, c], aug[at, p] = aug[at, p], aug[:, c].copy()
@@ -597,8 +582,10 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
         g[:, c] = 0.0
         aug[:, c] /= pivot[:, None]
         aug -= np.where(g != 0.0, g * aug[:, None, c], 0.0)
+    with np.errstate(all="ignore"):
+        dets = np.ldexp(dets, k * n)
+        inverse = np.ldexp(aug[:, :, n:], -k[:, None, None])
     dets[bad] = np.nan
-    inverse = aug[:, :, n:]
     inverse[bad] = np.nan
     inverse = np.moveaxis(inverse.reshape(stack.shape), (-1, -2), (rpos, cpos))
     return dets.reshape(stack.shape[:-2]), inverse
@@ -655,8 +642,6 @@ def identity(a: Axis, b: Axis) -> NamedTensor:
 
 def partial_index_shape(s: Shape, bindings: Mapping[str, int]) -> Shape:
     for name, idx in bindings.items():
-        if name not in s:
-            raise MissingAxis(f"axis {name!r} not in shape {s}", s)
         if not 1 <= idx <= s.size(name):
             raise InvalidRecord(f"index {name}({idx}) out of range for {s.axis(name)!r}")
     return s.drop(bindings.keys())

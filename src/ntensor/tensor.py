@@ -39,8 +39,7 @@ class NamedTensor:
         array = np.array(array, dtype=np.float64, order="C")
         if array.shape != shape.sizes:
             raise ShapeMismatch(
-                f"buffer of dimensions {array.shape} does not fill shape {shape}",
-                shape,
+                f"buffer of dimensions {array.shape} does not fill shape {shape}"
             )
         array.flags.writeable = False
         self._shape = shape
@@ -124,9 +123,7 @@ class NamedTensor:
         """A copy of the values with dimensions arranged as ``axis_names``."""
         names = list(axis_names)
         if sorted(names) != list(self._shape.names):
-            raise ShapeMismatch(
-                f"axis names {names} do not cover shape {self._shape}", self._shape
-            )
+            raise ShapeMismatch(f"axis names {names} do not cover shape {self._shape}")
         canonical = self._shape.names
         perm = [canonical.index(n) for n in names]
         return self._array.transpose(perm).copy()
@@ -134,7 +131,7 @@ class NamedTensor:
     def item(self) -> float:
         """The value of a scalar (empty-shape) tensor."""
         if len(self._shape):
-            raise ShapeMismatch(f"tensor of shape {self._shape} is not a scalar", self._shape)
+            raise ShapeMismatch(f"tensor of shape {self._shape} is not a scalar")
         return float(self._array)
 
     # -- element access ---------------------------------------------------
@@ -258,53 +255,33 @@ class NamedTensor:
     # -- operators (delegate to ops) ---------------------------------------
 
     def __add__(self, other):
-        from . import ops
-
         return ops.add(self, other)
 
     def __radd__(self, other):
-        from . import ops
-
         return ops.add(other, self)
 
     def __sub__(self, other):
-        from . import ops
-
         return ops.sub(self, other)
 
     def __rsub__(self, other):
-        from . import ops
-
         return ops.sub(other, self)
 
     def __mul__(self, other):
-        from . import ops
-
         return ops.mul(self, other)
 
     def __rmul__(self, other):
-        from . import ops
-
         return ops.mul(other, self)
 
     def __truediv__(self, other):
-        from . import ops
-
         return ops.div(self, other)
 
     def __rtruediv__(self, other):
-        from . import ops
-
         return ops.div(other, self)
 
     def __pow__(self, other):
-        from . import ops
-
         return ops.pow_(self, other)
 
     def __neg__(self):
-        from . import ops
-
         return ops.neg(self)
 
 
@@ -315,3 +292,6 @@ def as_tensor(value: Union["NamedTensor", float, int]) -> NamedTensor:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return NamedTensor.scalar(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a named tensor")
+
+
+from . import ops  # noqa: E402  imported last because ops imports this module

@@ -435,6 +435,18 @@ def test_with_children_rebuilds_an_equal_node_keeping_its_span():
         assert all(a is b for a, b in zip(rebuilt.children(), node.children()))
 
 
+@pytest.mark.parametrize("got, want", [
+    (lambda: 2.0 + _X, lambda: ad.add(2.0, _X)),
+    (lambda: 2.0 - _X, lambda: ad.sub(2.0, _X)),
+    (lambda: 2.0 * _X, lambda: ad.mul(2.0, _X)),
+    (lambda: 2.0 / _X, lambda: ad.div(2.0, _X)),
+    (lambda: _X ** _Y, lambda: ad.pow_(_X, _Y)),
+    (lambda: -_X, lambda: ad.neg(_X)),
+], ids=["radd", "rsub", "rmul", "rtruediv", "pow", "neg"])
+def test_operator_sugar_equals_its_builder(got, want):
+    assert got() == want()
+
+
 def test_equality_ignores_spans_and_compares_parameters():
     a, b = ad.softmax(_X, ["a"]), ad.softmax(ad.var("X"), ["a"])
     a.span, b.span = (1, 1), (9, 9)

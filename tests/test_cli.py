@@ -99,6 +99,38 @@ def test_eval_non_finite_contract_and_reductions_are_nan_without_warning(tmp_pat
     assert result.stderr == ""
 
 
+def test_eval_and_grad_of_overflowing_inputs_run_without_warning(tmp_path):
+    source = tmp_path / "overflow.nt"
+    source.write_text(
+        "axis a = 2\naxis r = 2\naxis c = 2\n"
+        "X = [1000, 1] over (a)\nP = [inf, 1] over (a)\n"
+        "M = [[1e308, 1e308], [1e308, -1e308]] over (r, c)\n"
+        "E = exp{}(X)\nS = softmax{a}(P)\nN = norm{a}(P)\nI = inv{r, c}(M)\n"
+        "L = sum{a}(E + S) + N\n"
+        "print E\nprint S\nprint N\nprint I\n"
+    )
+    small = "4.9999999999999995e-309"
+    result = subprocess.run(
+        [sys.executable, "-m", "ntensor.cli", "eval", str(source)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == (
+        "# E\nshape: a=2\ninf 2.7182818284590451\n# S\nshape: a=2\nnan nan\n"
+        f"# N\nshape:\ninf\n# I\nshape: c=2, r=2\n{small} {small}\n{small} -{small}\n"
+    )
+    assert result.stderr == ""
+    for wrt, want in (("X", "inf 2.7182818284590451"), ("P", "nan nan")):
+        result = subprocess.run(
+            [sys.executable, "-m", "ntensor.cli", "grad", str(source),
+             "--of", "L", "--wrt", wrt],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout == f"shape: a=2\n{want}\n"
+        assert result.stderr == ""
+
+
 def test_grad_prints_tensor(capsys):
     program = str(CORPUS / "valid" / "softmax_grad.nt")
     assert main(["grad", program, "--of", "Loss", "--wrt", "X"]) == 0

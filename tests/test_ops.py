@@ -248,6 +248,11 @@ def test_nan_fiber_rule():
     assert all(got.partial_index(r) == want.partial_index(r) for r in others)
 
 
+@pytest.mark.parametrize("op", [ops.softmax, ops.argmax, ops.argmin])
+def test_empty_axis_list_makes_each_entry_its_own_fiber(op):
+    assert op(A, []) == NamedTensor.filled(A.shape, 1.0)
+
+
 def test_softmax_properties():
     rng = SplitMix64(31)
     for _ in range(20):

@@ -13,6 +13,7 @@ from ntensor import (
     Record,
     Shape,
     SplitMix64,
+    ops,
 )
 
 from helpers import random_shape, random_tensor
@@ -132,3 +133,15 @@ def test_operators_broadcast():
     assert (A * 2.0).get({"height": 1, "width": 3}) == 8.0
     assert (1.0 / NamedTensor.scalar(4.0)).item() == 0.25
     assert (-A).get({"height": 1, "width": 1}) == -3.0
+
+
+@pytest.mark.parametrize("got, want", [
+    (lambda x: 2.0 + x, lambda x: ops.add(2.0, x)),
+    (lambda x: x - A, lambda x: ops.sub(x, A)),
+    (lambda x: 2.0 - x, lambda x: ops.sub(2.0, x)),
+    (lambda x: x / A, lambda x: ops.div(x, A)),
+    (lambda x: x ** A, lambda x: ops.pow_(x, A)),
+], ids=["radd", "sub", "rsub", "truediv", "pow"])
+def test_operators_equal_their_ops(got, want):
+    x = NamedTensor.from_nested([2, 7, 1], ["height"])
+    assert got(x) == want(x)
