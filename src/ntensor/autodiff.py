@@ -1079,7 +1079,7 @@ def lifted_derivative_check(
         raise ShapeError(f"extension {extension} overlaps base shape {base_shape}")
     rng = SplitMix64(seed)
     full_shape = base_shape.union(extension)
-    data = np.asarray(rng.floats(full_shape.num_records)).reshape(full_shape.sizes)
+    data = rng.floats(full_shape.num_records).reshape(full_shape.sizes)
     x_full = NamedTensor(full_shape, data)
     body = build(Var("x"))
     base_out = infer_shape(body, {"x": base_shape})  # raises if it names an extension axis

@@ -5,12 +5,17 @@ comment running to end of line.  Identifiers are letters, digits, and
 underscores starting with a letter or underscore, plus trailing prime
 marks.  Numbers require a digit after the decimal point, so ``3.{ax}``
 lexes as a contraction on the scalar 3.
+
+A token records the offset of its first character; :class:`Positions`
+turns an offset into the 1-based (line, col) that spans and diagnostics
+report, so only they pay for it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import List, NamedTuple, Tuple
 
 from .diagnostics import ParseError
 
@@ -28,38 +33,42 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "IDENT", "NUMBER", "EOF", or the symbol text itself
     text: str
-    line: int
-    col: int
+    offset: int  # index of the token's first character in the source
 
 
-def tokenize(source: str) -> list:
+class Positions:
+    """The 1-based (line, col) of a source offset, by bisection over the
+    offsets of the source's newlines."""
+
+    def __init__(self, source: str):
+        self._newlines = [m.start() for m in re.finditer("\n", source)]
+
+    def __call__(self, offset: int) -> Tuple[int, int]:
+        line = bisect_left(self._newlines, offset)
+        start = self._newlines[line - 1] + 1 if line else 0
+        return line + 1, offset - start + 1
+
+
+def tokenize(source: str) -> List[Token]:
+    """The tokens of ``source``, ending in one ``EOF`` token."""
     tokens = []
     pos = 0
-    line, col = 1, 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {source[pos]!r}")
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
+        start, end = m.span()
+        if start != pos:
+            break
         kind = m.lastgroup
-        if kind == "NUMBER":
-            tokens.append(Token("NUMBER", text, line, col))
-        elif kind == "IDENT":
-            tokens.append(Token("IDENT", text, line, col))
-        elif kind == "SYM":
-            tokens.append(Token(text, text, line, col))
+        if kind == "SYM":
+            text = m.group()
+            tokens.append(Token(text, text, start))
+        elif kind == "NUMBER" or kind == "IDENT":
+            tokens.append(Token(kind, m.group(), start))
         # WS and COMMENT are skipped
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+        pos = end
+    if pos != len(source):
+        raise ParseError(*Positions(source)(pos), f"unexpected character {source[pos]!r}")
+    tokens.append(Token("EOF", "", pos))
     return tokens

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .. import autodiff as ad
 from .. import ops
 from .diagnostics import ParseError
-from .lex import RESERVED, Token, tokenize
+from .lex import RESERVED, Positions, Token, tokenize
 
 __all__ = [
     "AxisDecl", "ShapeDecl", "Binding", "Directive", "Program",
@@ -120,13 +120,20 @@ class _Parser:
     # deep; each level costs a few stack frames of recursive descent.
     MAX_DEPTH = 100
 
-    def __init__(self, tokens: List[Token]):
-        self.toks = tokens
+    def __init__(self, source: str):
+        self.toks = tokenize(source)
+        self.positions = Positions(source)
         self.i = 0
         self.depth = 0
 
+    def at(self, tok: Token) -> Tuple[int, int]:
+        """The 1-based (line, col) of ``tok``."""
+        return self.positions(tok.offset)
+
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        # Callers look ahead only past a token that is not EOF, and EOF is
+        # the last token, so the index stays in range.
+        return self.toks[self.i + ahead]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -139,20 +146,20 @@ class _Parser:
         if tok.kind != kind:
             want = what or f"{kind!r}"
             found = f"{tok.text!r}" if tok.kind != "EOF" else "end of input"
-            raise ParseError(tok.line, tok.col, f"expected {want}, found {found}")
+            raise ParseError(*self.at(tok), f"expected {want}, found {found}")
         return self.advance()
 
     def ident(self, what: str = "identifier") -> Token:
         tok = self.expect("IDENT", what)
         if tok.text in RESERVED:
-            raise ParseError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
+            raise ParseError(*self.at(tok), f"{tok.text!r} is a reserved word")
         return tok
 
     def open(self, tok: Token) -> None:
         """Enter one nesting level at the opening token ``tok``."""
         if self.depth == self.MAX_DEPTH:
             raise ParseError(
-                tok.line, tok.col,
+                *self.at(tok),
                 f"expression nests deeper than {self.MAX_DEPTH} levels",
             )
         self.depth += 1
@@ -168,13 +175,13 @@ class _Parser:
     def statement(self):
         tok = self.peek()
         if tok.kind != "IDENT":
-            raise ParseError(tok.line, tok.col, f"expected a statement, found {tok.text!r}")
+            raise ParseError(*self.at(tok), f"expected a statement, found {tok.text!r}")
         if tok.text == "axis":
             return self.axis_decl()
         if tok.text in ("print", "check", "grad"):
             self.advance()
             target = self.ident("identifier after directive")
-            return Directive(tok.text, target.text, (tok.line, tok.col))
+            return Directive(tok.text, target.text, self.at(tok))
         name = self.ident("identifier")
         nxt = self.peek()
         if nxt.kind == ":":
@@ -182,9 +189,9 @@ class _Parser:
         if nxt.kind == "=":
             self.advance()
             expr = self.expr()
-            return Binding(name.text, expr, (name.line, name.col))
+            return Binding(name.text, expr, self.at(name))
         raise ParseError(
-            nxt.line, nxt.col,
+            *self.at(nxt),
             f"expected ':' or '=' after {name.text!r}, found {nxt.text!r}",
         )
 
@@ -194,21 +201,21 @@ class _Parser:
         self.expect("=")
         size = self.expect("NUMBER", "axis size")
         if not size.text.isdigit():
-            raise ParseError(size.line, size.col, "axis size must be an integer")
-        return AxisDecl(name.text, int(size.text), (kw.line, kw.col))
+            raise ParseError(*self.at(size), "axis size must be an integer")
+        return AxisDecl(name.text, int(size.text), self.at(kw))
 
     def shape_decl(self, name: Token) -> ShapeDecl:
         self.expect(":")
         marker = self.expect("IDENT", "'R'")
         if marker.text != "R":
-            raise ParseError(marker.line, marker.col, "shape declarations use 'R[...]'")
+            raise ParseError(*self.at(marker), "shape declarations use 'R[...]'")
         self.expect("[")
         axes = [self.ident("axis name").text]
         while self.peek().kind == ",":
             self.advance()
             axes.append(self.ident("axis name").text)
         self.expect("]")
-        return ShapeDecl(name.text, tuple(axes), (name.line, name.col))
+        return ShapeDecl(name.text, tuple(axes), self.at(name))
 
     # -- expressions -------------------------------------------------------
 
@@ -221,7 +228,7 @@ class _Parser:
                 axes.append(self.ident("axis name").text)
         if not axes and not allow_empty:
             tok = self.peek()
-            raise ParseError(tok.line, tok.col, "expected at least one axis name")
+            raise ParseError(*self.at(tok), "expected at least one axis name")
         return axes
 
     def expr(self) -> ad.Expr:
@@ -276,9 +283,9 @@ class _Parser:
             self.advance()
             idx = self.expect("NUMBER", "index")
             if not idx.text.isdigit():
-                raise ParseError(idx.line, idx.col, "index must be an integer")
+                raise ParseError(*self.at(idx), "index must be an integer")
             return ad.PartialIndex({name.text: int(idx.text)}, node)
-        raise ParseError(nxt.line, nxt.col, "expected '->' or '=' in suffix")
+        raise ParseError(*self.at(nxt), "expected '->' or '=' in suffix")
 
     def atom(self) -> ad.Expr:
         tok = self.peek()
@@ -292,7 +299,7 @@ class _Parser:
                 self.advance()
                 self.advance()
                 return self._spanned(ad.Const(-float(nxt.text)), tok)
-            raise ParseError(tok.line, tok.col, "'-' here must prefix 'inf' or a number")
+            raise ParseError(*self.at(tok), "'-' here must prefix 'inf' or a number")
         if tok.kind == "(":
             return self.parenthesized()
         if tok.kind == "[":
@@ -301,9 +308,9 @@ class _Parser:
             if tok.text == "random":
                 return self.random_literal()
             if tok.text == "inf":
-                raise ParseError(tok.line, tok.col, "bare 'inf' is not a value; use -inf for masks")
+                raise ParseError(*self.at(tok), "bare 'inf' is not a value; use -inf for masks")
             if tok.text in RESERVED:
-                raise ParseError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
+                raise ParseError(*self.at(tok), f"{tok.text!r} is a reserved word")
             nxt = self.peek(1)
             if nxt.kind == "{":
                 return self.call()
@@ -318,13 +325,13 @@ class _Parser:
                     self.expect(")")
                     return self._spanned(ad.SizeOf(name.text), tok)
                 raise ParseError(
-                    tok.line, tok.col,
+                    *self.at(tok),
                     f"only sqrt(...) and size(...) are called without braces; "
                     f"write {tok.text}{{axes}}(...)",
                 )
             self.advance()
             return self._spanned(ad.Var(tok.text), tok)
-        raise ParseError(tok.line, tok.col, f"expected an expression, found {tok.text!r}")
+        raise ParseError(*self.at(tok), f"expected an expression, found {tok.text!r}")
 
     def parenthesized(self) -> ad.Expr:
         self.open(self.expect("("))
@@ -346,14 +353,14 @@ class _Parser:
         self.expect(")")
         self.depth -= 1
         if name.text not in _CALLS:
-            raise ParseError(name.line, name.col, f"unknown function {name.text!r}")
+            raise ParseError(*self.at(name), f"unknown function {name.text!r}")
         cls, op, fill = _CALLS[name.text]
         n_axes = None if fill is None else len(set(fill))
         for what, want, got in (("argument", len(cls._operands), len(args)),
                                 ("axis name", n_axes, len(axes))):
             if want is not None and want != got:
                 raise ParseError(
-                    name.line, name.col,
+                    *self.at(name),
                     f"{name.text} takes {want} {what}(s), got {got}",
                 )
         params = [] if op is None else [op]
@@ -376,7 +383,7 @@ class _Parser:
         """The ``over (axes)`` clause that ends a literal."""
         over = self.expect("IDENT", "'over'")
         if over.text != "over":
-            raise ParseError(over.line, over.col, f"{what} need an 'over (axes)' clause")
+            raise ParseError(*self.at(over), f"{what} need an 'over (axes)' clause")
         self.expect("(")
         axes = self.axis_list(allow_empty=False)
         self.expect(")")
@@ -407,15 +414,14 @@ class _Parser:
         num = self.expect("NUMBER", "a number")
         return sign * float(num.text)
 
-    @staticmethod
-    def _spanned(node: ad.Expr, tok: Token) -> ad.Expr:
-        node.span = (tok.line, tok.col)
+    def _spanned(self, node: ad.Expr, tok: Token) -> ad.Expr:
+        node.span = self.at(tok)
         return node
 
 
 def parse(source: str) -> Program:
     """Parse a program; raises :class:`ParseError` with a position on failure."""
-    return _Parser(tokenize(source)).program()
+    return _Parser(source).program()
 
 
 # ---------------------------------------------------------------------------

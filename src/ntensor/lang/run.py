@@ -13,10 +13,9 @@ expression graph and taking the dense derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .. import autodiff as ad
 from ..errors import NamedTensorError
@@ -45,8 +44,7 @@ def _rebuild(order: List[ad.Expr], memo: dict) -> ad.Expr:
 
 def _draw(node: ad.RandomLiteral, rng: SplitMix64, axis_sizes) -> ad.Expr:
     sizes = [axis_sizes[n] for n in node.axis_names]
-    flat = rng.floats(int(np.prod(sizes)) if sizes else 1)
-    arr = np.asarray(flat).reshape(sizes)
+    arr = rng.floats(math.prod(sizes)).reshape(sizes)
     out = ad.Const(NamedTensor.from_array(arr, node.axis_names))
     out.span = node.span
     return out

@@ -278,8 +278,6 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
     """
     a = as_tensor(a)
     out_shape = softmax_shape(a.shape, axes)
-    if not axes:
-        return NamedTensor(a.shape, np.ones(a.shape.sizes))
     pos = _axis_positions(a.shape, axes)
     arr = a.array
     m = arr.max(axis=pos, keepdims=True)
@@ -293,8 +291,6 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
 def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
     a = as_tensor(a)
     out_shape = softmax_shape(a.shape, axes)
-    if not axes:
-        return NamedTensor(a.shape, np.ones(a.shape.sizes))
     pos = _axis_positions(a.shape, axes)
     arr = a.array
     m = arr.min(axis=pos, keepdims=True) if minimize else arr.max(axis=pos, keepdims=True)

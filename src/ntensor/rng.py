@@ -2,13 +2,21 @@
 
 This is the splitmix64 sequence: state advances by the golden-gamma constant
 0x9E3779B97F4A7C15 and each output is finalized with the xor-shift/multiply
-constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  The generator is tiny,
-has no external dependencies, and is straightforward to reproduce in any
-language, so reference inputs generated here can be regenerated exactly
-elsewhere.  Floats take the top 53 bits of an output word.
+constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  The generator is tiny
+and straightforward to reproduce in any language, so reference inputs
+generated here can be regenerated exactly elsewhere.  Floats take the top
+53 bits of an output word.
+
+The scalar ``next_*`` methods are the definition.  The k-th output depends
+only on ``seed + k * gamma``, so :meth:`SplitMix64.floats` computes a whole
+block as one numpy ``uint64`` expression, bit for bit the same stream.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -48,13 +56,22 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def floats(self, count: int) -> list:
-        """``count`` uniform floats in ``[-1, 1)``."""
-        return [self.next_symmetric() for _ in range(count)]
+    def floats(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`next_symmetric`, as a float64 array."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self._state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        return (z >> np.uint64(11)) * (2.0 ** -53) * 2.0 - 1.0
 
     def nested(self, sizes):
         """Nested lists of the given dimensions in ``[-1, 1)``, filled in odometer order."""
         if not sizes:
             return self.next_symmetric()
-        head, rest = sizes[0], sizes[1:]
-        return [self.nested(rest) for _ in range(head)]
+        return self.floats(math.prod(sizes)).reshape(sizes).tolist()

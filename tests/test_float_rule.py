@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ntensor import Axis, NamedTensor, ops
+from ntensor import AllMasked, Axis, NamedTensor, ops
 from ntensor import autodiff as ad
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308, 1.0]
@@ -118,3 +118,27 @@ def test_near_overflow_matrix_inverts_and_has_infinite_det():
     eye = ops.identity(Axis("r", 2), Axis("x", 2))
     assert ops.contract(a, ops.rename(inverse, "r", "x"), ["c"]).allclose(eye, atol=1e-12)
     assert ops.det(a, "r", "c").item() == -math.inf
+
+
+def test_empty_axis_list_applies_the_fiber_rule_to_each_entry():
+    t = NamedTensor.from_nested([math.nan, math.inf, 0.0, 1e308], ["a"])
+    want = {
+        ops.softmax: [math.nan, math.nan, 1.0, 1.0],
+        ops.argmax: [math.nan, 1.0, 1.0, 1.0],
+        ops.argmin: [math.nan, 1.0, 1.0, 1.0],
+    }
+    for op, values in want.items():
+        assert np.array_equal(op(t, []).to_array(["a"]), values, equal_nan=True)
+    masked = NamedTensor.from_nested([0.0, -math.inf], ["a"])
+    assert ops.argmax(masked, []).to_array(["a"]).tolist() == [1.0, 1.0]
+    with pytest.raises(AllMasked):
+        ops.softmax(masked, [])
+
+
+def test_softmax_over_no_axes_has_zero_derivative_on_finite_entries():
+    t = NamedTensor.from_nested([math.nan, math.inf, 0.0, 1e308, -1e308, 1.0], ["a"])
+    d = ad.jacobian(ad.softmax(ad.var("x"), []), "x", {"x": t})
+    # rows are outputs, columns inputs; a NaN or +inf input makes its column NaN
+    block = d.value.to_array([d.rename_map["a"], "a"])
+    assert np.isnan(block[:, :2]).all()
+    assert (block[:, 2:] == 0.0).all()
