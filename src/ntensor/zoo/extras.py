@@ -92,7 +92,10 @@ def beam_step(scores, states, transition: TensorFunction,
 
     ``scores`` is over {beam}; ``states`` is one-hot over {beam, state};
     ``transition`` maps a {state} one-hot to {state} scores and is lifted
-    over the beam (and any batch axis).  Returns the new (scores, states).
+    over the beam (and any batch axis) by :func:`~ntensor.lift.extend`: in
+    one graph evaluation when its body is an expression, as
+    :func:`~ntensor.zoo.fixtures.make_transition`'s is, else one call per
+    (batch, beam) record.  Returns the new (scores, states).
     """
     if beam_size > state_size:
         raise SizeMismatch(f"beam size {beam_size} exceeds {state_size} states")

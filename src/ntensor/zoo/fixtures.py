@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .. import ops
+from .. import autodiff as ad
 from ..axes import Axis, Shape
 from ..lift import TensorFunction
 from ..rng import SplitMix64
@@ -383,17 +383,17 @@ def _kmeans(seed: int) -> float:
 
 
 def make_transition(trans, offset) -> TensorFunction:
-    """Affine state-transition scorer as a base {state} -> {state} function."""
-    nstate = len(trans)
+    """Affine state-transition scorer as a base {state} -> {state} function.
+
+    Its body is an expression, so :func:`~ntensor.lift.extend` evaluates it
+    once over all extension axes.
+    """
     trans_t = NamedTensor.from_nested(trans, ["state", "state2"])
     offset_t = NamedTensor.from_nested(offset, ["state"])
-    shape = Shape([Axis("state", nstate)])
-
-    def body(s):
-        scored = ops.rename(ops.contract(trans_t, s, ["state"]), "state2", "state")
-        return ops.add(scored, offset_t)
-
-    return TensorFunction((shape,), shape, body, name="transition")
+    shape = Shape([Axis("state", len(trans))])
+    scored = ad.rename(ad.contract(trans_t, ad.var("s"), ["state"]), "state2", "state")
+    return TensorFunction((shape,), shape, ad.add(scored, offset_t),
+                          name="transition", params=("s",))
 
 
 def build_beam(seed: int, nstate: int = 5, nbeam: int = 2):

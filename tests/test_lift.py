@@ -18,6 +18,7 @@ from ntensor import (
     extend,
     ops,
 )
+from ntensor import autodiff as ad
 
 from helpers import random_shape, random_tensor
 
@@ -150,6 +151,26 @@ def test_wrong_operand_count_is_a_type_error():
         extend(add, A)
     with pytest.raises(TypeError, match="takes 1 arguments, got 3"):
         extend(scalar_fn(abs), A, A, A)
+
+
+@pytest.mark.parametrize("kind", ["callable", "expression"])
+def test_call_checks_operand_count_and_shapes(kind):
+    if kind == "callable":
+        total = TensorFunction((Shape.of(a=2),), Shape(),
+                               lambda x: ops.reduce(x, "sum", ["a"]), name="total")
+    else:
+        total = TensorFunction((Shape.of(a=2),), Shape(), ad.sum_(ad.var("x"), ["a"]),
+                               name="total", params=("x",))
+    two = NamedTensor.from_nested([1.0, 2.0], ["a"])
+    assert total(two).item() == 3.0
+    with pytest.raises(ShapeMismatch, match="total: operand 1 has shape"):
+        total(NamedTensor.from_nested([1.0, 2.0, 3.0], ["a"]))
+    with pytest.raises(ShapeMismatch, match="total"):
+        total(NamedTensor.from_nested([[1.0, 2.0]], ["p", "a"]))
+    with pytest.raises(TypeError, match="total takes 1 arguments, got 2"):
+        total(two, two)
+    with pytest.raises(TypeError, match="total takes 1 arguments, got 0"):
+        total()
 
 
 def test_ternary_fused_multiply_add_shape():
