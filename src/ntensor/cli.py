@@ -96,7 +96,10 @@ def main(argv=None) -> int:
     p_grad = sub.add_parser("grad", help="print a derivative tensor")
     p_grad.add_argument("file")
     p_grad.add_argument("--of", default=None, help="target identifier")
-    p_grad.add_argument("--wrt", required=True, help="differentiate w.r.t. this literal")
+    p_grad.add_argument(
+        "--wrt", required=True,
+        help="differentiate w.r.t. this tensor or random literal",
+    )
     p_grad.add_argument("--seed", type=int, default=0)
 
     p_zoo = sub.add_parser("zoo", help="reference model fixtures")

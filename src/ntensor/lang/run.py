@@ -6,9 +6,9 @@ seeded stream (depth-first, left-to-right within a binding, bindings in
 program order), and the drawn values are frozen into the expression so
 evaluation and differentiation see identical inputs.
 
-``grad_program`` differentiates one bound identifier with respect to a
-literal-bound identifier by splicing intermediate bindings into one
-expression graph and taking the dense derivative.
+``grad_program`` differentiates one bound identifier with respect to an
+identifier bound to a tensor or random literal by splicing intermediate
+bindings into one expression graph and taking the dense derivative.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def grad_program(
     wrt: str,
     seed: int = 0,
 ) -> ad.Derivative:
-    """The derivative of binding ``of`` with respect to literal binding ``wrt``.
+    """The derivative of binding ``of`` with respect to binding ``wrt``.
+
+    ``wrt`` must be bound to a tensor or random literal; for a random
+    literal the derivative is taken at the values the run drew.
 
     ``of`` may be omitted when the program carries exactly one ``grad``
     directive, which then names the target.
@@ -131,8 +134,8 @@ def grad_program(
         raise NamedTensorError(f"'{wrt}' is not a bound identifier")
     if not _is_literal_binding(run.exprs[wrt]):
         raise NamedTensorError(
-            f"'{wrt}' must be bound to a tensor literal to differentiate "
-            f"with respect to it"
+            f"'{wrt}' must be bound to a tensor or random literal to "
+            f"differentiate with respect to it"
         )
     # Splice every non-literal binding into the uses of its name, in
     # program order, so each binding is rebuilt once on its spliced inputs.

@@ -23,21 +23,20 @@ from .extras import beam_step, cbow, kmeans_step, mvn_density, prob_ops, sudoku_
 from .fixtures import FIXTURES, FixtureResult, fixture_names, run_fixture
 from .models import (
     LeNetParams,
-    TransformerLayerParams,
-    TransformerParams,
     causal_mask,
     lenet,
     positional_encoding,
+    transformer_bindings,
     transformer_lm,
+    transformer_program,
 )
-from .proggen import transformer_program
 
 __all__ = [
     "attention", "batchnorm", "beam_step", "causal_mask", "cbow", "conv1d",
     "conv2d", "feedforward", "fullconn", "groupnorm", "instancenorm",
     "kmeans_step", "layernorm", "lenet", "maxpool1d", "maxpool2d",
     "mvn_density", "positional_encoding", "prob_ops", "rnn_elman",
-    "sudoku_check", "transformer_lm", "transformer_program",
-    "LeNetParams", "TransformerLayerParams", "TransformerParams",
+    "sudoku_check", "transformer_bindings", "transformer_lm", "transformer_program",
+    "LeNetParams",
     "FIXTURES", "FixtureResult", "fixture_names", "run_fixture",
 ]

@@ -192,54 +192,35 @@ def _groupnorm(seed: int) -> float:
 TRANSFORMER_SIZES = dict(seq=4, vocab=7, layer=8, heads=2, hidden=16, depth=2)
 
 
+# The loop oracle's key for each per-layer parameter name.
+_ORACLE_KEYS = dict(
+    WQ="wq", WK="wk", WV="wv", WO="wo", Gatt="ln1_gamma", Batt="ln1_beta",
+    Gffn="ln2_gamma", Bffn="ln2_beta", W1_="w1", B1_="b1", W2_="w2", B2_="b2",
+)
+
+
 def build_transformer(seed: int, **overrides):
-    """Plain-list transformer inputs/parameters plus their tensor forms."""
+    """Plain-list transformer inputs/parameters plus their tensor forms.
+
+    Returns (onehots, embed, plain_layers, params, sizes): ``params`` maps
+    each ``models.transformer_parameters`` name to its tensor, and
+    ``embed``/``plain_layers`` are the same values as the loop oracle
+    takes them.
+    """
     sizes = dict(TRANSFORMER_SIZES, **overrides)
-    seq, vocab, layer = sizes["seq"], sizes["vocab"], sizes["layer"]
-    heads, hidden, depth = sizes["heads"], sizes["hidden"], sizes["depth"]
-    key = layer // heads
+    key = sizes["layer"] // sizes["heads"]
+    dims = dict(sizes, key=key, val=key)
     rng = SplitMix64(seed)
-    onehots = _onehot_rows(rng, seq, vocab)
-    embed = rng.nested([vocab, layer])
-    plain_layers = []
-    for _ in range(depth):
-        plain_layers.append(
-            dict(
-                wq=rng.nested([heads, layer, key]),
-                wk=rng.nested([heads, layer, key]),
-                wv=rng.nested([heads, layer, key]),
-                wo=rng.nested([heads, key, layer]),
-                ln1_gamma=rng.nested([layer]),
-                ln1_beta=rng.nested([layer]),
-                ln2_gamma=rng.nested([layer]),
-                ln2_beta=rng.nested([layer]),
-                w1=rng.nested([hidden, layer]),
-                b1=rng.nested([hidden]),
-                w2=rng.nested([layer, hidden]),
-                b2=rng.nested([layer]),
-            )
-        )
-    params = models.TransformerParams(
-        embed=NamedTensor.from_nested(embed, ["vocab", "layer"]),
-        layers=[
-            models.TransformerLayerParams(
-                wq=NamedTensor.from_nested(p["wq"], ["heads", "layer", "key"]),
-                wk=NamedTensor.from_nested(p["wk"], ["heads", "layer", "key"]),
-                wv=NamedTensor.from_nested(p["wv"], ["heads", "layer", "val"]),
-                wo=NamedTensor.from_nested(p["wo"], ["heads", "val", "layer"]),
-                ln1_gamma=NamedTensor.from_nested(p["ln1_gamma"], ["layer"]),
-                ln1_beta=NamedTensor.from_nested(p["ln1_beta"], ["layer"]),
-                ln2_gamma=NamedTensor.from_nested(p["ln2_gamma"], ["layer"]),
-                ln2_beta=NamedTensor.from_nested(p["ln2_beta"], ["layer"]),
-                ffn_w1=NamedTensor.from_nested(p["w1"], ["hidden", "layer"]),
-                ffn_b1=NamedTensor.from_nested(p["b1"], ["hidden"]),
-                ffn_w2=NamedTensor.from_nested(p["w2"], ["layer", "hidden"]),
-                ffn_b2=NamedTensor.from_nested(p["b2"], ["layer"]),
-            )
-            for p in plain_layers
-        ],
-    )
-    return onehots, embed, plain_layers, params, sizes
+    onehots = _onehot_rows(rng, sizes["seq"], sizes["vocab"])
+    plain, params = {}, {}
+    for name, axes in models.transformer_parameters(sizes["depth"]):
+        plain[name] = rng.nested([dims[a] for a in axes])
+        params[name] = NamedTensor.from_nested(plain[name], axes)
+    plain_layers = [
+        {oracle: plain[f"{stem}{n}"] for stem, oracle in _ORACLE_KEYS.items()}
+        for n in range(1, sizes["depth"] + 1)
+    ]
+    return onehots, plain["E"], plain_layers, params, sizes
 
 
 def _transformer(seed: int) -> float:

@@ -1,59 +1,43 @@
-"""Composed reference models: an autoregressive transformer LM and LeNet."""
+"""Composed reference models: an autoregressive transformer LM and LeNet.
+
+The transformer is written once, as the ordered ``.nt`` bindings of
+``transformer_bindings``: ``transformer_lm`` evaluates them one binding at
+a time and ``transformer_program`` prints them as a program.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .. import autodiff as ad
 from .. import ops
 from ..axes import Axis
+from ..lang import AxisDecl, Binding, Directive, Program, format_program
 from ..tensor import NamedTensor
-from .blocks import attention, conv2d, maxpool2d
+from .blocks import conv2d, maxpool2d
 
 __all__ = [
-    "TransformerLayerParams", "TransformerParams", "LeNetParams",
-    "positional_encoding", "causal_mask", "transformer_lm", "lenet",
+    "LeNetParams", "positional_encoding", "causal_mask", "transformer_bindings",
+    "transformer_parameters", "transformer_lm", "transformer_program", "lenet",
 ]
-
-
-@dataclass
-class TransformerLayerParams:
-    wq: NamedTensor  # {heads, layer, key}
-    wk: NamedTensor  # {heads, layer, key}
-    wv: NamedTensor  # {heads, layer, val}
-    wo: NamedTensor  # {heads, val, layer}
-    ln1_gamma: NamedTensor  # {layer}
-    ln1_beta: NamedTensor
-    ln2_gamma: NamedTensor
-    ln2_beta: NamedTensor
-    ffn_w1: NamedTensor  # {hidden, layer}
-    ffn_b1: NamedTensor  # {hidden}
-    ffn_w2: NamedTensor  # {layer, hidden}
-    ffn_b2: NamedTensor  # {layer}
-
-
-@dataclass
-class TransformerParams:
-    embed: NamedTensor  # {vocab, layer}
-    layers: List[TransformerLayerParams]
 
 
 def positional_encoding(seq_len: int, layer_size: int) -> NamedTensor:
     """Sinusoidal positions over {seq, layer}, 1-based as everywhere else.
 
-    Odd embedding positions carry sines, even ones cosines, with the usual
-    10000-exponent frequency schedule.
+    Entry (p, i) is sin((p - 1) / 10000 ** ((i - 1) / layer)) for odd i and
+    cos((p - 1) / 10000 ** ((i - 2) / layer)) for even i: odd embedding
+    positions carry sines, even ones cosines, with the usual 10000-exponent
+    frequency schedule.  Each column's frequency is one Python power, and
+    the table is one numpy expression over it.
     """
-    enc = np.empty((seq_len, layer_size))
-    for p in range(1, seq_len + 1):
-        for i in range(1, layer_size + 1):
-            if i % 2 == 1:
-                enc[p - 1, i - 1] = math.sin((p - 1) / 10000 ** ((i - 1) / layer_size))
-            else:
-                enc[p - 1, i - 1] = math.cos((p - 1) / 10000 ** ((i - 2) / layer_size))
+    even = np.arange(layer_size) % 2 == 1  # 0-based column c is position c + 1
+    freq = np.array([10000 ** ((c - c % 2) / layer_size) for c in range(layer_size)])
+    angle = np.arange(seq_len)[:, None] / freq
+    enc = np.where(even, np.cos(angle), np.sin(angle))
     return NamedTensor.from_array(enc, ["seq", "layer"])
 
 
@@ -67,41 +51,131 @@ def causal_mask(seq_len: int) -> NamedTensor:
     return NamedTensor.from_array(m, ["seq", "seq'"])
 
 
-def _layer_norm(x, gamma, beta, eps: float = 1e-5) -> NamedTensor:
-    return ops.add(ops.mul(ops.standardize(x, ["layer"], eps), gamma), beta)
+# Each layer's parameters in draw order: binding name before the layer
+# number, and axes.
+_LAYER_PARAMS = (
+    ("WQ", ("heads", "layer", "key")),
+    ("WK", ("heads", "layer", "key")),
+    ("WV", ("heads", "layer", "val")),
+    ("WO", ("heads", "val", "layer")),
+    ("Gatt", ("layer",)),
+    ("Batt", ("layer",)),
+    ("Gffn", ("layer",)),
+    ("Bffn", ("layer",)),
+    ("W1_", ("hidden", "layer")),
+    ("B1_", ("hidden",)),
+    ("W2_", ("layer", "hidden")),
+    ("B2_", ("layer",)),
+)
 
 
-def _self_attention(x, p: TransformerLayerParams, mask) -> NamedTensor:
-    query = ops.contract(p.wq, ops.rename(x, "seq", "seq'"), ["layer"])
-    keys = ops.contract(p.wk, x, ["layer"])
-    values = ops.contract(p.wv, x, ["layer"])
-    attended = attention(query, keys, values, mask)
-    return ops.contract(p.wo, ops.rename(attended, "seq'", "seq"), ["heads", "val"])
+def transformer_bindings(depth: int) -> List[Tuple[str, Optional[ad.Expr]]]:
+    """The transformer LM of the given depth as ``.nt`` bindings, in order.
+
+    The inputs are bound to None: ``I``, one-hot tokens over {seq, vocab};
+    ``P``, the ``positional_encoding``; ``M``, the ``causal_mask``.  Each
+    parameter is bound to ``random over (axes)``.  ``O`` holds next-token
+    distributions over {seq, vocab}.
+    """
+    v = ad.var
+    embedded = ad.contract(v("E"), v("I"), ["vocab"]) * ad.sqrt(ad.size_of("layer"))
+    out = [
+        ("I", None),
+        ("E", ad.random_literal(("vocab", "layer"))),
+        ("P", None),
+        ("M", None),
+        ("X0", embedded + v("P")),
+    ]
+    for n in range(1, depth + 1):
+        def at(stem: str) -> ad.Expr:
+            return v(f"{stem}{n}")
+
+        prev = v(f"X{n - 1}")
+        scores = ad.contract(at("Q"), at("K"), ["key"]) / ad.sqrt(ad.size_of("key"))
+        out += [(f"{stem}{n}", ad.random_literal(axes)) for stem, axes in _LAYER_PARAMS]
+        out += [
+            (f"Q{n}", ad.contract(at("WQ"), ad.rename(prev, "seq", "seq'"), ["layer"])),
+            (f"K{n}", ad.contract(at("WK"), prev, ["layer"])),
+            (f"V{n}", ad.contract(at("WV"), prev, ["layer"])),
+            (f"A{n}", ad.contract(ad.softmax(scores + v("M"), ["seq"]), at("V"), ["seq"])),
+            (f"Y{n}", ad.contract(at("WO"), ad.rename(at("A"), "seq'", "seq"), ["heads", "val"])),
+            (f"T{n}", ad.standardize(at("Y"), ["layer"]) * at("Gatt") + at("Batt") + prev),
+            (f"H{n}", ad.relu(ad.contract(at("W1_"), at("T"), ["layer"]) + at("B1_"))),
+            (f"F{n}", ad.relu(ad.contract(at("W2_"), at("H"), ["hidden"]) + at("B2_"))),
+            (f"X{n}", ad.standardize(at("F"), ["layer"]) * at("Gffn") + at("Bffn") + at("T")),
+        ]
+    out.append(("O", ad.softmax(ad.contract(v("E"), v(f"X{depth}"), ["layer"]), ["vocab"])))
+    return out
 
 
-def _ffn(x, p: TransformerLayerParams) -> NamedTensor:
-    h = ops.relu(ops.add(ops.contract(p.ffn_w1, x, ["layer"]), p.ffn_b1))
-    return ops.relu(ops.add(ops.contract(p.ffn_w2, h, ["hidden"]), p.ffn_b2))
+def transformer_parameters(depth: int) -> List[Tuple[str, Tuple[str, ...]]]:
+    """(name, axes) of each parameter of ``transformer_bindings(depth)``,
+    in draw order."""
+    return [
+        (name, expr.axis_names) for name, expr in transformer_bindings(depth)
+        if isinstance(expr, ad.RandomLiteral)
+    ]
 
 
-def transformer_lm(onehots, params: TransformerParams) -> NamedTensor:
-    """Autoregressive transformer language model.
+def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
+    """Autoregressive transformer language model: ``transformer_bindings``
+    evaluated one binding at a time.
 
     ``onehots`` is a one-hot tensor over {seq, vocab} (extra axes such as
-    batch broadcast through every stage).  Returns next-token distributions
-    over {seq, vocab} that sum to one over vocab at each position.
+    batch broadcast through every stage).  ``params`` maps each name of
+    ``transformer_parameters(depth)`` to its tensor; the depth is read off
+    their number and the axis sizes off their shapes.  Returns next-token
+    distributions over {seq, vocab} that sum to one over vocab at each
+    position.
     """
-    layer_size = params.embed.shape.size("layer")
+    depth = (len(params) - 1) // len(_LAYER_PARAMS)
+    bindings = transformer_bindings(depth)
+    names = {name for name, expr in bindings if isinstance(expr, ad.RandomLiteral)}
+    if set(params) != names:
+        raise ValueError(
+            f"transformer parameters must be named {sorted(names)}, got {sorted(params)}"
+        )
+    sizes = {axis.name: axis.size for t in params.values() for axis in t.shape}
     seq_len = onehots.shape.size("seq")
-    embedded = ops.mul(
-        ops.contract(params.embed, onehots, ["vocab"]), math.sqrt(layer_size)
+    env = dict(
+        params, I=onehots,
+        P=positional_encoding(seq_len, sizes["layer"]), M=causal_mask(seq_len),
     )
-    x = ops.add(embedded, positional_encoding(seq_len, layer_size))
-    mask = causal_mask(seq_len)
-    for p in params.layers:
-        t = ops.add(_layer_norm(_self_attention(x, p, mask), p.ln1_gamma, p.ln1_beta), x)
-        x = ops.add(_layer_norm(_ffn(t, p), p.ln2_gamma, p.ln2_beta), t)
-    return ops.softmax(ops.contract(params.embed, x, ["layer"]), ["vocab"])
+    for name, expr in bindings:
+        if name not in env:  # inputs and parameters are bound already
+            env[name] = ad.evaluate(expr, env, axis_sizes=sizes)
+    return env["O"]
+
+
+def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
+                        layer: int = 8, heads: int = 2, hidden: int = 16) -> str:
+    """``transformer_bindings(depth)`` printed as a ``.nt`` program.
+
+    The language has no loops, so the layer stack is unrolled into one
+    binding per intermediate.  Parameters are ``random over (...)`` literals
+    drawn from the evaluator's seeded stream; the inputs are printed as
+    literals, and position p + 1 holds token (p mod vocab) + 1.
+    """
+    key = layer // heads
+    axes = {"seq": seq, "seq'": seq, "vocab": vocab, "layer": layer,
+            "heads": heads, "key": key, "val": key, "hidden": hidden}
+    onehots = [
+        [1.0 if v == (p % vocab) + 1 else 0.0 for v in range(1, vocab + 1)]
+        for p in range(seq)
+    ]
+    pos, mask = positional_encoding(seq, layer), causal_mask(seq)
+    inputs = {
+        "I": ad.literal(onehots, ("seq", "vocab")),
+        "P": ad.literal(pos.to_array(["seq", "layer"]).tolist(), ("seq", "layer")),
+        "M": ad.literal(mask.to_array(["seq", "seq'"]).tolist(), ("seq", "seq'")),
+    }
+    statements = [AxisDecl(name, size) for name, size in axes.items()]
+    statements += [
+        Binding(name, inputs[name] if expr is None else expr)
+        for name, expr in transformer_bindings(depth)
+    ]
+    statements.append(Directive("print", "O"))
+    return format_program(Program(tuple(statements)))
 
 
 @dataclass

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ntensor import Axis, DivisionByZero, NamedTensor, Shape, SplitMix64, ops, zoo
-from ntensor.zoo import fixtures, oracles
+from ntensor import Axis, DivisionByZero, NamedTensor, Shape, SplitMix64, lang, ops, zoo
+from ntensor.zoo import fixtures, models, oracles
 
 import helpers as H
 
@@ -240,6 +240,84 @@ def test_transformer_causality():
     assert not base.partial_index({"seq": seq}).allclose(
         perturbed.partial_index({"seq": seq}), atol=1e-6
     )
+
+
+def _scalar_positional_encoding(seq_len, layer_size):
+    """The encoding's definition, one entry at a time."""
+    enc = np.empty((seq_len, layer_size))
+    for p in range(1, seq_len + 1):
+        for i in range(1, layer_size + 1):
+            if i % 2 == 1:
+                enc[p - 1, i - 1] = math.sin((p - 1) / 10000 ** ((i - 1) / layer_size))
+            else:
+                enc[p - 1, i - 1] = math.cos((p - 1) / 10000 ** ((i - 2) / layer_size))
+    return enc
+
+
+@pytest.mark.parametrize("seq_len, layer_size", [
+    (1, 1), (3, 7), (4, 8), (5, 9), (16, 64), (32, 64), (33, 65), (64, 128),
+    (128, 512), (200, 1024),
+])
+def test_positional_encoding_is_bit_identical_to_its_scalar_definition(seq_len, layer_size):
+    got = zoo.positional_encoding(seq_len, layer_size).to_array(["seq", "layer"])
+    want = _scalar_positional_encoding(seq_len, layer_size)
+    assert got.tobytes() == want.tobytes()
+
+
+# perfbench's language-workload sizes, and the program's defaults.
+_PROGRAM_SIZES = [
+    dict(seq=16, vocab=64, layer=64, heads=4, hidden=256),
+    dict(),
+]
+
+
+def _drawn_parameters(run, depth):
+    return {name: run.env[name] for name, _ in models.transformer_parameters(depth)}
+
+
+@pytest.mark.parametrize("sizes", _PROGRAM_SIZES, ids=["language", "default"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_transformer_program_and_model_agree_exactly(depth, sizes):
+    """The printed program, run by the language, equals ``transformer_lm``
+    on the parameters the run drew, also with a batch axis on the input."""
+    run = lang.run_program(lang.parse(zoo.transformer_program(depth=depth, **sizes)), 11)
+    params = _drawn_parameters(run, depth)
+    onehots = run.env["I"]
+    assert zoo.transformer_lm(onehots, params) == run.env["O"]
+
+    rows = onehots.to_array(["seq", "vocab"])
+    batched = NamedTensor.from_array(np.stack([rows, rows[::-1]]), ["batch", "seq", "vocab"])
+    full = zoo.transformer_lm(batched, params)
+    assert full.partial_index({"batch": 1}) == run.env["O"]
+    reversed_run = zoo.transformer_lm(
+        NamedTensor.from_array(rows[::-1], ["seq", "vocab"]), params
+    )
+    assert full.partial_index({"batch": 2}) == reversed_run
+
+
+@pytest.mark.parametrize("wrt", ["WQ1", "Gffn2"])
+def test_transformer_program_parameter_gradient_matches_finite_differences(wrt):
+    """``grad_program`` with respect to a drawn ``random over`` binding,
+    against central differences of ``transformer_lm`` in that parameter."""
+    program = lang.parse(zoo.transformer_program())
+    deriv = lang.grad_program(program, "O", wrt)
+    run = lang.run_program(program)
+    params = _drawn_parameters(run, 2)
+    out_names = run.env["O"].shape.names
+    primed = [deriv.rename_map.get(n, n) for n in out_names]
+
+    def f(x):
+        return zoo.transformer_lm(run.env["I"], dict(params, **{wrt: x}))
+
+    worst = 0.0
+    for record, fd in H.fd_jacobian_entries(f, params[wrt]):
+        numeric = fd.to_array(out_names)
+        analytic = deriv.value.partial_index(record).to_array(primed)
+        rel = np.abs(numeric - analytic) / np.maximum(
+            1.0, np.maximum(np.abs(numeric), np.abs(analytic))
+        )
+        worst = max(worst, float(rel.max()))
+    assert worst <= 1e-6
 
 
 # ---------------------------------------------------------------------------
