@@ -7,14 +7,18 @@ used three ways: :func:`infer_shape` runs the shape rules only,
 differentiate.
 
 Each node class is a dataclass of its fields: those annotated ``Expr`` are
-its operands, in order, and the others are its static parameters.
-:class:`Expr` derives children, equality and :meth:`Expr.with_children`
-from that declaration.  A node whose ``kernel`` names an :mod:`ntensor.ops`
-function evaluates as that kernel applied to its operand values and then
-its parameters, and infers its shape through the kernel's shape rule
-(``<kernel>_shape`` unless ``rule`` names another); both are looked up on
-the ``ops`` module at call time.  Beyond its fields, a node class holds only
-real shape or kernel glue and its VJP rule.
+its operands, in order, and the others are its static parameters.  Fields
+follow the builder's arguments: the op name first where several builders
+share a class, then the operands, then the parameters, so most classes are
+their own builders (``contract = Contract``).  An operand given as a tensor
+or a number is wrapped as a constant.  :class:`Expr` derives children,
+equality and :meth:`Expr.with_children` from that declaration.  A node
+whose ``kernel`` names an :mod:`ntensor.ops` function evaluates as that
+kernel applied to its operand values and then its parameters, and infers
+its shape through the kernel's shape rule (``<kernel>_shape`` unless
+``rule`` names another); both are looked up on the ``ops`` module at call
+time.  Beyond its fields, a node class holds only real shape or kernel glue
+and its VJP rule.
 
 Random literals (``random over (axes)``) have a shape but no values here:
 :func:`ntensor.lang.run_program` replaces them with seeded constants before
@@ -111,7 +115,6 @@ class Expr:
     ``tuple`` are stored as tuples.
     """
 
-    kind = "expr"
     kernel: Optional[str] = None  # name of the ops function computing the node
     rule: Optional[str] = None  # its shape rule's name, if not kernel + "_shape"
     # For a node whose first parameter picks its kernel: {parameter value:
@@ -133,9 +136,16 @@ class Expr:
         if self.OPS is not None:
             which = getattr(self, self._params[0])
             if which not in self.OPS:
-                raise ValueError(f"unknown {self.kind} op {which!r}")
+                raise ValueError(f"unknown {type(self).__name__} op {which!r}")
             self.kernel = self.OPS[which]
-        self._children = tuple([getattr(self, name) for name in self._operands])
+        kids = tuple([getattr(self, name) for name in self._operands])
+        for kid in kids:
+            if not isinstance(kid, Expr):  # the common all-Expr case skips this
+                kids = tuple([wrap(k) for k in kids])
+                for name, k in zip(self._operands, kids):
+                    setattr(self, name, k)
+                break
+        self._children = kids
 
     def children(self) -> tuple:
         return self._children
@@ -184,31 +194,31 @@ class Expr:
     # operator sugar -------------------------------------------------------
 
     def __add__(self, other):
-        return Binary("add", self, wrap(other))
+        return Binary("add", self, other)
 
     def __radd__(self, other):
-        return Binary("add", wrap(other), self)
+        return Binary("add", other, self)
 
     def __sub__(self, other):
-        return Binary("sub", self, wrap(other))
+        return Binary("sub", self, other)
 
     def __rsub__(self, other):
-        return Binary("sub", wrap(other), self)
+        return Binary("sub", other, self)
 
     def __mul__(self, other):
-        return Binary("mul", self, wrap(other))
+        return Binary("mul", self, other)
 
     def __rmul__(self, other):
-        return Binary("mul", wrap(other), self)
+        return Binary("mul", other, self)
 
     def __truediv__(self, other):
-        return Binary("div", self, wrap(other))
+        return Binary("div", self, other)
 
     def __rtruediv__(self, other):
-        return Binary("div", wrap(other), self)
+        return Binary("div", other, self)
 
     def __pow__(self, other):
-        return Binary("pow", self, wrap(other))
+        return Binary("pow", self, other)
 
     def __neg__(self):
         return Unary("neg", self)
@@ -228,7 +238,6 @@ def wrap(value) -> Expr:
 # leaves
 
 class Var(Expr):
-    kind = "var"
     name: str
 
     def _infer(self, child_shapes, ctx, env):
@@ -247,7 +256,6 @@ class Var(Expr):
 
 
 class Const(Expr):
-    kind = "const"
     value: NamedTensor
 
     def __post_init__(self):
@@ -273,7 +281,6 @@ _MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # nump
 class Literal(Expr):
     """A nested-list tensor literal; nesting level i binds axis_names[i]."""
 
-    kind = "literal"
     values: object
     axis_names: tuple
 
@@ -319,7 +326,6 @@ class Literal(Expr):
 class RandomLiteral(Expr):
     """Uniform [-1, 1) values over declared axes, drawn by ``lang.run_program``."""
 
-    kind = "random"
     axis_names: tuple
 
     def _infer(self, child_shapes, ctx, env):
@@ -337,7 +343,6 @@ class RandomLiteral(Expr):
 class SizeOf(Expr):
     """The size of a declared axis, as a scalar."""
 
-    kind = "size"
     axis_name: str
 
     def _infer(self, child_shapes, ctx, env):
@@ -375,7 +380,6 @@ def _fresh(name: str, taken: set) -> str:
 # elementwise nodes
 
 class Unary(Expr):
-    kind = "unary"
     OPS = {"neg": "neg", "relu": "relu", "sigma": "sigmoid",
            "exp": "exp", "log": "log", "sqrt": "sqrt"}
     op: str
@@ -401,7 +405,6 @@ class Unary(Expr):
 
 
 class Binary(Expr):
-    kind = "binary"
     OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div", "pow": "pow_"}
     rule = "binary_shape"
     op: str
@@ -429,11 +432,10 @@ class Binary(Expr):
 # reductions and contraction
 
 class Reduce(Expr):
-    kind = "reduce"
     kernel = "reduce"
+    child: Expr
     red: str
     axes: tuple
-    child: Expr
 
     def __post_init__(self):
         if self.red not in ops.REDUCE_KINDS:
@@ -480,11 +482,10 @@ def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndar
 
 
 class Contract(Expr):
-    kind = "contract"
     kernel = "contract"
-    axes: tuple
     a: Expr
     b: Expr
+    axes: tuple
 
     def _grads(self, g, child_values, value, ctx):
         a, b = child_values
@@ -497,10 +498,9 @@ class Contract(Expr):
 
 
 class Softmax(Expr):
-    kind = "softmax"
     kernel = "softmax"
-    axes: tuple
     child: Expr
+    axes: tuple
 
     def _grads(self, g, child_values, value, ctx):
         y = value
@@ -509,35 +509,25 @@ class Softmax(Expr):
 
 
 class ArgExtremum(Expr):
-    kind = "argextremum"
     OPS = {"argmax": "argmax", "argmin": "argmin"}
     rule = "softmax_shape"
     which: str
-    axes: tuple
     child: Expr
+    axes: tuple
 
     def _grads(self, g, child_values, value, ctx):
         return (None,)
 
 
 class Standardize(Expr):
-    kind = "standardize"
     kernel = "standardize"
-    axes: tuple
     child: Expr
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        self.eps = float(self.eps)
-        super().__post_init__()
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.standardize_shape(child_shapes[0], self.axes)
+    axes: tuple
 
     def _grads(self, g, child_values, value, ctx):
         (x,) = child_values
         n = float(math.prod(x.shape.size(a) for a in self.axes))
-        q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), self.eps))
+        q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), ops.EPS))
         xc = ops.sub(x, ops.reduce(x, "mean", self.axes))
         t1 = ops.div(g, q)
         t2 = ops.div(ops.reduce(g, "sum", self.axes), ops.mul(n, q))
@@ -552,23 +542,21 @@ class Standardize(Expr):
 # structural nodes
 
 class Rename(Expr):
-    kind = "rename"
     kernel = "rename"
+    child: Expr
     old: str
     new: str
-    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
         return (ops.rename(g, self.new, self.old),)
 
 
 class Merge(Expr):
-    kind = "merge"
     kernel = "merge_axes"
     rule = "merge_shape"
+    child: Expr
     parts: tuple
     merged_name: str
-    child: Expr
 
     def _args(self, shape, ctx):
         ops._check_axis_list(shape, self.parts)
@@ -587,13 +575,12 @@ class Merge(Expr):
 
 
 class Split(Expr):
-    kind = "split"
     kernel = "split_axis"
     rule = "split_shape"
+    child: Expr
     src: str
     outer_name: str
     inner_name: str
-    child: Expr
     inner_size: Optional[int] = None
 
     def _args(self, shape, ctx):
@@ -611,11 +598,10 @@ class Split(Expr):
 
 
 class Unroll(Expr):
-    kind = "unroll"
     kernel = "unroll"
+    child: Expr
     seq: str
     kernel_name: str
-    child: Expr
     kernel_size: Optional[int] = None
 
     def _args(self, shape, ctx):
@@ -638,9 +624,8 @@ class Unroll(Expr):
 
 
 class IndexSelect(Expr):
-    kind = "index_select"
-    ax: str
     a: Expr
+    ax: str
     indices: Expr
 
     def _infer(self, child_shapes, ctx, env):
@@ -664,12 +649,11 @@ class TopK(Expr):
     """The k largest values along an axis (``maxk``), or one-hot selectors
     for them (``argmaxk``)."""
 
-    kind = "topk"
     OPS = {"maxk": "maxk", "argmaxk": "argmaxk"}
     which: str
+    child: Expr
     ax: str
     k_name: str
-    child: Expr
     k_size: Optional[int] = None
 
     def _args(self, shape, ctx):
@@ -686,12 +670,11 @@ class TopK(Expr):
 class LinAlg(Expr):
     """Determinant (``det``) or inverse (``inv``) over a (rows, cols) matrix."""
 
-    kind = "linalg"
     OPS = {"det": "det", "inv": "inv"}
     which: str
+    child: Expr
     rows: str
     cols: str
-    child: Expr
 
     def _grads(self, g, child_values, value, ctx):
         raise UnsupportedDerivative(
@@ -700,9 +683,8 @@ class LinAlg(Expr):
 
 
 class PartialIndex(Expr):
-    kind = "partial_index"
-    bindings: tuple
     child: Expr
+    bindings: tuple
 
     def __post_init__(self):
         items = self.bindings.items() if isinstance(self.bindings, Mapping) \
@@ -727,159 +709,115 @@ class PartialIndex(Expr):
 
 
 # ---------------------------------------------------------------------------
-# builder functions
+# builders: a class whose fields are its builder's arguments is its own
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def const(value) -> Const:
-    return Const(value)
-
-
-def literal(values, axis_names: Sequence[str]) -> Literal:
-    return Literal(values, axis_names)
-
-
-def random_literal(axis_names: Sequence[str]) -> RandomLiteral:
-    return RandomLiteral(axis_names)
-
-
-def size_of(axis_name: str) -> SizeOf:
-    return SizeOf(axis_name)
+var = Var
+const = Const
+literal = Literal
+random_literal = RandomLiteral
+size_of = SizeOf
+reduce = Reduce
+contract = Contract
+softmax = Softmax
+standardize = Standardize
+rename = Rename
+merge = Merge
+split = Split
+unroll = Unroll
+index_select = IndexSelect
+partial_index = PartialIndex
 
 
 def add(a, b) -> Expr:
-    return Binary("add", wrap(a), wrap(b))
+    return Binary("add", a, b)
 
 
 def sub(a, b) -> Expr:
-    return Binary("sub", wrap(a), wrap(b))
+    return Binary("sub", a, b)
 
 
 def mul(a, b) -> Expr:
-    return Binary("mul", wrap(a), wrap(b))
+    return Binary("mul", a, b)
 
 
 def div(a, b) -> Expr:
-    return Binary("div", wrap(a), wrap(b))
+    return Binary("div", a, b)
 
 
 def pow_(a, b) -> Expr:
-    return Binary("pow", wrap(a), wrap(b))
+    return Binary("pow", a, b)
 
 
 def neg(a) -> Expr:
-    return Unary("neg", wrap(a))
+    return Unary("neg", a)
 
 
 def relu(a) -> Expr:
-    return Unary("relu", wrap(a))
+    return Unary("relu", a)
 
 
 def sigmoid(a) -> Expr:
-    return Unary("sigma", wrap(a))
+    return Unary("sigma", a)
 
 
 def exp(a) -> Expr:
-    return Unary("exp", wrap(a))
+    return Unary("exp", a)
 
 
 def log(a) -> Expr:
-    return Unary("log", wrap(a))
+    return Unary("log", a)
 
 
 def sqrt(a) -> Expr:
-    return Unary("sqrt", wrap(a))
-
-
-def reduce(a, kind: str, axes: Sequence[str]) -> Expr:
-    return Reduce(kind, axes, wrap(a))
+    return Unary("sqrt", a)
 
 
 def sum_(a, axes) -> Expr:
-    return reduce(a, "sum", axes)
+    return Reduce(a, "sum", axes)
 
 
 def mean_(a, axes) -> Expr:
-    return reduce(a, "mean", axes)
+    return Reduce(a, "mean", axes)
 
 
 def max_(a, axes) -> Expr:
-    return reduce(a, "max", axes)
+    return Reduce(a, "max", axes)
 
 
 def min_(a, axes) -> Expr:
-    return reduce(a, "min", axes)
+    return Reduce(a, "min", axes)
 
 
 def var_(a, axes) -> Expr:
-    return reduce(a, "var", axes)
+    return Reduce(a, "var", axes)
 
 
 def norm_(a, axes) -> Expr:
-    return reduce(a, "norm", axes)
-
-
-def contract(a, b, axes: Sequence[str]) -> Expr:
-    return Contract(axes, wrap(a), wrap(b))
-
-
-def softmax(a, axes: Sequence[str]) -> Expr:
-    return Softmax(axes, wrap(a))
+    return Reduce(a, "norm", axes)
 
 
 def argmax(a, axes: Sequence[str]) -> Expr:
-    return ArgExtremum("argmax", axes, wrap(a))
+    return ArgExtremum("argmax", a, axes)
 
 
 def argmin(a, axes: Sequence[str]) -> Expr:
-    return ArgExtremum("argmin", axes, wrap(a))
-
-
-def standardize(a, axes: Sequence[str], eps: float = 1e-5) -> Expr:
-    return Standardize(axes, wrap(a), eps)
-
-
-def rename(a, old: str, new: str) -> Expr:
-    return Rename(old, new, wrap(a))
-
-
-def merge(a, parts: Sequence[str], merged_name: str) -> Expr:
-    return Merge(parts, merged_name, wrap(a))
-
-
-def split(a, src: str, outer_name: str, inner_name: str,
-          inner_size: Optional[int] = None) -> Expr:
-    return Split(src, outer_name, inner_name, wrap(a), inner_size)
-
-
-def unroll(a, seq: str, kernel_name: str, kernel_size: Optional[int] = None) -> Expr:
-    return Unroll(seq, kernel_name, wrap(a), kernel_size)
-
-
-def index_select(a, ax: str, indices) -> Expr:
-    return IndexSelect(ax, wrap(a), wrap(indices))
+    return ArgExtremum("argmin", a, axes)
 
 
 def maxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return TopK("maxk", ax, k_name, wrap(a), k_size)
+    return TopK("maxk", a, ax, k_name, k_size)
 
 
 def argmaxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return TopK("argmaxk", ax, k_name, wrap(a), k_size)
+    return TopK("argmaxk", a, ax, k_name, k_size)
 
 
 def det(a, rows: str, cols: str) -> Expr:
-    return LinAlg("det", rows, cols, wrap(a))
+    return LinAlg("det", a, rows, cols)
 
 
 def inv(a, rows: str, cols: str) -> Expr:
-    return LinAlg("inv", rows, cols, wrap(a))
-
-
-def partial_index(a, bindings) -> Expr:
-    return PartialIndex(bindings, wrap(a))
+    return LinAlg("inv", a, rows, cols)
 
 
 # ---------------------------------------------------------------------------

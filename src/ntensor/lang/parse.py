@@ -253,7 +253,7 @@ class _Parser:
             axes = self.axis_list()
             self.expect("}")
             rhs = self.postfix()
-            node = self._spanned(ad.Contract(tuple(axes), node, rhs), op)
+            node = self._spanned(ad.Contract(node, rhs, tuple(axes)), op)
         return node
 
     def postfix(self) -> ad.Expr:
@@ -272,19 +272,19 @@ class _Parser:
             self.expect(")")
             self.expect("->")
             merged = self.ident("merged axis name")
-            return ad.Merge(tuple(parts), merged.text, node)
+            return ad.Merge(node, tuple(parts), merged.text)
         name = self.ident("axis name")
         nxt = self.peek()
         if nxt.kind == "->":
             self.advance()
             new = self.ident("new axis name")
-            return ad.Rename(name.text, new.text, node)
+            return ad.Rename(node, name.text, new.text)
         if nxt.kind == "=":
             self.advance()
             idx = self.expect("NUMBER", "index")
             if not idx.text.isdigit():
                 raise ParseError(*self.at(idx), "index must be an integer")
-            return ad.PartialIndex({name.text: int(idx.text)}, node)
+            return ad.PartialIndex(node, {name.text: int(idx.text)})
         raise ParseError(*self.at(nxt), "expected '->' or '=' in suffix")
 
     def atom(self) -> ad.Expr:
@@ -461,7 +461,7 @@ def _call_form(node: ad.Expr):
                     f"{name} with {param}={getattr(node, param)!r} has no surface syntax"
                 )
         return name, axes
-    raise ValueError(f"cannot print node of kind {node.kind!r}")
+    raise ValueError(f"cannot print node of kind {type(node).__name__}")
 
 
 def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
@@ -480,7 +480,12 @@ def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
     elif isinstance(node, ad.Merge):
         suffix = f"[({', '.join(node.parts)})->{node.merged_name}]"
     elif isinstance(node, ad.PartialIndex):
-        suffix = "".join(f"[{n}={i}]" for n, i in node.bindings)
+        if len(node.bindings) != 1:  # the parser builds one node per [name=i]
+            raise ValueError(
+                f"partial index with {len(node.bindings)} bindings has no surface syntax"
+            )
+        (name, i), = node.bindings
+        suffix = f"[{name}={i}]"
     else:
         return _format_atom(node, sub), _LEVEL_ATOM
     return sub(node.child, _LEVEL_POSTFIX) + suffix, _LEVEL_POSTFIX

@@ -612,8 +612,11 @@ def standardize_shape(s: Shape, axes: Sequence[str]) -> Shape:
     return s
 
 
-def standardize(a, axes: Sequence[str], eps: float = 1e-5) -> NamedTensor:
-    """(a - mean) / sqrt(var + eps) over the given axes, lifted over the rest."""
+EPS = 1e-5  # keeps standardize finite on a constant fiber
+
+
+def standardize(a, axes: Sequence[str]) -> NamedTensor:
+    """(a - mean) / sqrt(var + EPS) over the given axes, lifted over the rest."""
     a = as_tensor(a)
     standardize_shape(a.shape, axes)
     pos = _axis_positions(a.shape, axes)
@@ -621,7 +624,7 @@ def standardize(a, axes: Sequence[str], eps: float = 1e-5) -> NamedTensor:
     with np.errstate(all="ignore"):
         m = arr.mean(axis=pos, keepdims=True)
         v = arr.var(axis=pos, keepdims=True)
-        return NamedTensor(a.shape, (arr - m) / np.sqrt(v + eps))
+        return NamedTensor(a.shape, (arr - m) / np.sqrt(v + EPS))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .blocks import (
 from .extras import beam_step, cbow, kmeans_step, mvn_density, prob_ops, sudoku_check
 from .fixtures import FIXTURES, FixtureResult, fixture_names, run_fixture
 from .models import (
-    LeNetParams,
     causal_mask,
     lenet,
     positional_encoding,
@@ -37,6 +36,5 @@ __all__ = [
     "kmeans_step", "layernorm", "lenet", "maxpool1d", "maxpool2d",
     "mvn_density", "positional_encoding", "prob_ops", "rnn_elman",
     "sudoku_check", "transformer_bindings", "transformer_lm", "transformer_program",
-    "LeNetParams",
     "FIXTURES", "FixtureResult", "fixture_names", "run_fixture",
 ]

@@ -112,28 +112,28 @@ def _scale_shift(standardized, gamma, beta) -> NamedTensor:
     return ops.add(ops.mul(standardized, gamma), beta)
 
 
-def batchnorm(x, gamma, beta, eps: float = 1e-5) -> NamedTensor:
+def batchnorm(x, gamma, beta) -> NamedTensor:
     """Standardize over {batch, layer} per channel; gamma/beta over {chans}."""
-    return _scale_shift(ops.standardize(x, ["batch", "layer"], eps), gamma, beta)
+    return _scale_shift(ops.standardize(x, ["batch", "layer"]), gamma, beta)
 
 
-def instancenorm(x, gamma, beta, eps: float = 1e-5) -> NamedTensor:
+def instancenorm(x, gamma, beta) -> NamedTensor:
     """Standardize over {layer} per (batch, channel); gamma/beta over {chans}."""
-    return _scale_shift(ops.standardize(x, ["layer"], eps), gamma, beta)
+    return _scale_shift(ops.standardize(x, ["layer"]), gamma, beta)
 
 
-def layernorm(x, gamma, beta, eps: float = 1e-5) -> NamedTensor:
+def layernorm(x, gamma, beta) -> NamedTensor:
     """Standardize over {chans, layer} per batch; gamma/beta over {chans, layer}."""
-    return _scale_shift(ops.standardize(x, ["chans", "layer"], eps), gamma, beta)
+    return _scale_shift(ops.standardize(x, ["chans", "layer"]), gamma, beta)
 
 
-def groupnorm(x, gamma, beta, k: int, eps: float = 1e-5) -> NamedTensor:
+def groupnorm(x, gamma, beta, k: int) -> NamedTensor:
     """Pool channels into k-sized groups, standardize each group with layer.
 
     gamma/beta stay over the original {chans}.
     """
     c = x.shape.size("chans")
     grouped = ops.split_axis(x, "chans", Axis("chans", c // k), Axis("kernel", k))
-    standardized = ops.standardize(grouped, ["kernel", "layer"], eps)
+    standardized = ops.standardize(grouped, ["kernel", "layer"])
     merged = ops.merge_axes(standardized, ["chans", "kernel"], Axis("chans", c))
     return _scale_shift(merged, gamma, beta)

@@ -232,15 +232,20 @@ def _transformer(seed: int) -> float:
     return _dev(impl, want, ["seq", "vocab"])
 
 
-LENET_SIZES = dict(batch=2, chans=1, image=14, c1=2, c2=3, kernel=3, pool=2,
-                   hidden=8, classes=4)
+LENET_SIZES = dict(batch=2, chans=1, image=14, c1=2, c2=3, kernel=3, hidden=8, classes=4)
+_LENET_AXES = dict(
+    conv1_w=["chans'", "chans", "kh", "kw"], conv1_b=["chans'"],
+    conv2_w=["chans'", "chans", "kh", "kw"], conv2_b=["chans'"],
+    dense_w=["hidden", "layer"], dense_b=["hidden"],
+    out_w=["classes", "hidden"], out_b=["classes"],
+)
 
 
 def build_lenet(seed: int, **overrides):
     sizes = dict(LENET_SIZES, **overrides)
     rng = SplitMix64(seed)
-    img, k = sizes["image"], sizes["kernel"]
-    side = ((img - k + 1) // sizes["pool"] - k + 1) // sizes["pool"]
+    img, k, pool = sizes["image"], sizes["kernel"], models.LENET_POOL
+    side = ((img - k + 1) // pool - k + 1) // pool
     layer = side * side * sizes["c2"]
     x0 = rng.nested([sizes["batch"], sizes["chans"], img, img])
     plain = dict(
@@ -252,19 +257,10 @@ def build_lenet(seed: int, **overrides):
         dense_b=rng.nested([sizes["hidden"]]),
         out_w=rng.nested([sizes["classes"], sizes["hidden"]]),
         out_b=rng.nested([sizes["classes"]]),
-        pool=sizes["pool"],
     )
-    params = models.LeNetParams(
-        conv1_w=NamedTensor.from_nested(plain["conv1_w"], ["chans'", "chans", "kh", "kw"]),
-        conv1_b=NamedTensor.from_nested(plain["conv1_b"], ["chans'"]),
-        conv2_w=NamedTensor.from_nested(plain["conv2_w"], ["chans'", "chans", "kh", "kw"]),
-        conv2_b=NamedTensor.from_nested(plain["conv2_b"], ["chans'"]),
-        dense_w=NamedTensor.from_nested(plain["dense_w"], ["hidden", "layer"]),
-        dense_b=NamedTensor.from_nested(plain["dense_b"], ["hidden"]),
-        out_w=NamedTensor.from_nested(plain["out_w"], ["classes", "hidden"]),
-        out_b=NamedTensor.from_nested(plain["out_b"], ["classes"]),
-        pool=sizes["pool"],
-    )
+    params = {name: NamedTensor.from_nested(plain[name], axes)
+              for name, axes in _LENET_AXES.items()}
+    plain["pool"] = pool
     return x0, plain, params
 
 

@@ -7,7 +7,6 @@ a time and ``transformer_program`` prints them as a program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -20,7 +19,7 @@ from ..tensor import NamedTensor
 from .blocks import conv2d, maxpool2d
 
 __all__ = [
-    "LeNetParams", "positional_encoding", "causal_mask", "transformer_bindings",
+    "LENET_POOL", "positional_encoding", "causal_mask", "transformer_bindings",
     "transformer_parameters", "transformer_lm", "transformer_program", "lenet",
 ]
 
@@ -119,7 +118,8 @@ def transformer_parameters(depth: int) -> List[Tuple[str, Tuple[str, ...]]]:
 
 def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
     """Autoregressive transformer language model: ``transformer_bindings``
-    evaluated one binding at a time.
+    evaluated one binding at a time, each value dropped after its last
+    reader.
 
     ``onehots`` is a one-hot tensor over {seq, vocab} (extra axes such as
     batch broadcast through every stage).  ``params`` maps each name of
@@ -141,9 +141,20 @@ def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
         params, I=onehots,
         P=positional_encoding(seq_len, sizes["layer"]), M=causal_mask(seq_len),
     )
-    for name, expr in bindings:
+    # Each binding's last reads: the names it reads that no later binding
+    # does.  Dropping them after it runs keeps only live values in env.
+    last_reads, read_later = [], {"O"}
+    for _, expr in reversed(bindings):
+        reads = set() if expr is None else {
+            node.name for node in ad._topo(expr) if isinstance(node, ad.Var)
+        }
+        last_reads.append(reads - read_later)
+        read_later |= reads
+    for (name, expr), dead in zip(bindings, reversed(last_reads)):
         if name not in env:  # inputs and parameters are bound already
             env[name] = ad.evaluate(expr, env, axis_sizes=sizes)
+        for read in dead:
+            del env[read]
     return env["O"]
 
 
@@ -178,38 +189,33 @@ def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
     return format_program(Program(tuple(statements)))
 
 
-@dataclass
-class LeNetParams:
-    conv1_w: NamedTensor  # {chans', chans, kh, kw}
-    conv1_b: NamedTensor  # {chans'}
-    conv2_w: NamedTensor
-    conv2_b: NamedTensor
-    dense_w: NamedTensor  # {hidden, layer}
-    dense_b: NamedTensor  # {hidden}
-    out_w: NamedTensor  # {classes, hidden}
-    out_b: NamedTensor  # {classes}
-    pool: int = 2
+LENET_POOL = 2  # each LeNet max-pool takes LENET_POOL x LENET_POOL blocks
 
 
 def _conv_layer(x, weights, bias) -> NamedTensor:
     return ops.rename(conv2d(x, weights, bias), "chans'", "chans")
 
 
-def lenet(x0, params: LeNetParams) -> NamedTensor:
+def lenet(x0, params: Mapping[str, NamedTensor]) -> NamedTensor:
     """Convolutional classifier over {batch, chans, height, width} inputs.
 
-    The pooled feature map is flattened by merging (height, width, chans)
-    into a single layer axis before the dense layers.
+    ``params`` maps ``conv1_w`` {chans', chans, kh, kw}, ``conv1_b``
+    {chans'}, ``conv2_w``, ``conv2_b`` (the same axes), ``dense_w``
+    {hidden, layer}, ``dense_b`` {hidden}, ``out_w`` {classes, hidden} and
+    ``out_b`` {classes} to tensors.  The pooled feature map is flattened by
+    merging (height, width, chans) into a single layer axis before the
+    dense layers.
     """
-    k = params.pool
-    t1 = ops.relu(_conv_layer(x0, params.conv1_w, params.conv1_b))
+    k = LENET_POOL
+    t1 = ops.relu(_conv_layer(x0, params["conv1_w"], params["conv1_b"]))
     x1 = maxpool2d(t1, k, k)
-    t2 = ops.relu(_conv_layer(x1, params.conv2_w, params.conv2_b))
+    t2 = ops.relu(_conv_layer(x1, params["conv2_w"], params["conv2_b"]))
     pooled = maxpool2d(t2, k, k)
-    layer_size = params.dense_w.shape.size("layer")
+    layer_size = params["dense_w"].shape.size("layer")
     flat = ops.merge_axes(
         pooled, ["height", "width", "chans"], Axis("layer", layer_size)
     )
-    hidden = ops.relu(ops.add(ops.contract(params.dense_w, flat, ["layer"]), params.dense_b))
-    logits = ops.add(ops.contract(params.out_w, hidden, ["hidden"]), params.out_b)
+    dense = ops.contract(params["dense_w"], flat, ["layer"])
+    hidden = ops.relu(ops.add(dense, params["dense_b"]))
+    logits = ops.add(ops.contract(params["out_w"], hidden, ["hidden"]), params["out_b"])
     return ops.softmax(logits, ["classes"])

@@ -393,7 +393,7 @@ BUILDERS = {
     "softmax": lambda: ad.softmax(_X, ["a"]),
     "argmax": lambda: ad.argmax(_X, ["a"]),
     "argmin": lambda: ad.argmin(_X, ["a"]),
-    "standardize": lambda: ad.standardize(_X, ["a"], eps=1e-3),
+    "standardize": lambda: ad.standardize(_X, ["a"]),
     "rename": lambda: ad.rename(_X, "a", "c"),
     "merge": lambda: ad.merge(_X, ["a", "b"], "c"),
     "split": lambda: ad.split(_X, "a", "o", "i", 2),
@@ -415,6 +415,50 @@ def test_every_public_builder_is_covered():
     assert set(BUILDERS) == set(ad.__all__) - NOT_BUILDERS
 
 
+def test_public_names_are_kept():
+    """Folding builders into their node classes removes no public name."""
+    snapshot = [
+        "Expr", "ExprError", "Derivative", "LiftReport",
+        "var", "const", "literal", "random_literal", "size_of",
+        "add", "sub", "mul", "div", "pow_", "neg",
+        "relu", "sigmoid", "exp", "log", "sqrt",
+        "reduce", "sum_", "mean_", "max_", "min_", "var_", "norm_",
+        "contract", "softmax", "argmax", "argmin", "standardize",
+        "rename", "merge", "split", "unroll", "index_select",
+        "maxk", "argmaxk", "det", "inv", "partial_index",
+        "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
+    ]
+    assert set(ad.__all__) >= set(snapshot)
+    assert all(hasattr(ad, name) for name in ad.__all__)
+
+
+# The builders that are their own node classes and take operands, each with
+# every operand slot filled by its one argument.
+FOLDED = {
+    "reduce": lambda x: ad.reduce(x, "sum", ["a"]),
+    "contract": lambda x: ad.contract(x, x, ["a"]),
+    "softmax": lambda x: ad.softmax(x, ["a"]),
+    "standardize": lambda x: ad.standardize(x, ["a"]),
+    "rename": lambda x: ad.rename(x, "a", "c"),
+    "merge": lambda x: ad.merge(x, ["a", "b"], "c"),
+    "split": lambda x: ad.split(x, "a", "o", "i", 2),
+    "unroll": lambda x: ad.unroll(x, "a", "k", 2),
+    "index_select": lambda x: ad.index_select(x, "a", x),
+    "partial_index": lambda x: ad.partial_index(x, {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("operand", [lambda: _rand(3, a=2, b=2), lambda: 2.5],
+                         ids=["tensor", "float"])
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_builders_wrap_tensor_and_float_operands(name, operand):
+    build, value = FOLDED[name], operand()
+    assert isinstance(getattr(ad, name), type)
+    node = build(value)
+    assert node == build(ad.const(value))
+    assert all(isinstance(kid, ad.Const) for kid in node.children())
+
+
 def test_with_children_rebuilds_an_equal_node_keeping_its_span():
     nodes = []
     for build in BUILDERS.values():
@@ -432,8 +476,8 @@ def test_with_children_rebuilds_an_equal_node_keeping_its_span():
     for node in nodes:
         rebuilt = node.with_children(node.children())
         assert rebuilt is not node and type(rebuilt) is type(node)
-        assert rebuilt == node, node.kind
-        assert rebuilt.span == node.span, node.kind
+        assert rebuilt == node
+        assert rebuilt.span == node.span
         assert all(a is b for a, b in zip(rebuilt.children(), node.children()))
 
 

@@ -109,7 +109,6 @@ def test_round_trips_cover_the_call_table():
 
 @pytest.mark.parametrize("expr", [
     ad.pow_(ad.var("X"), 2.0),
-    ad.standardize(ad.var("X"), ["a"], eps=0.1),
     ad.split(ad.var("X"), "a", "b", "c", inner_size=2),
     ad.split(ad.var("X"), "a", "a", "c", inner_size=2),
     ad.unroll(ad.var("X"), "a", "k", kernel_size=2),
@@ -117,8 +116,10 @@ def test_round_trips_cover_the_call_table():
     ad.const(math.nan),
     ad.const(math.inf),
     ad.literal([math.nan, 1.0], ["i"]),
-], ids=["pow", "eps", "inner_size", "pool_inner_size", "kernel_size", "k_size",
-        "nan", "inf", "nan_entry"])
+    ad.partial_index(ad.var("X"), {}),
+    ad.partial_index(ad.var("X"), {"a": 1, "b": 2}),
+], ids=["pow", "inner_size", "pool_inner_size", "kernel_size", "k_size",
+        "nan", "inf", "nan_entry", "partial_index_none", "partial_index_two"])
 def test_nodes_the_language_cannot_write_do_not_print(expr):
     with pytest.raises(ValueError, match="has no surface syntax"):
         lang.format_expr(expr)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ntensor import (
@@ -20,6 +21,15 @@ from helpers import random_shape, random_tensor
 
 # the running 3x3 example used throughout
 A = NamedTensor.from_nested([[3, 1, 4], [1, 5, 9], [2, 6, 5]], ["height", "width"])
+
+
+def test_constructor_neither_aliases_nor_freezes_the_callers_array():
+    arr = np.arange(6.0).reshape(2, 3)
+    t = NamedTensor(Shape.of(a=2, b=3), arr)
+    assert not np.shares_memory(t.array, arr)
+    assert arr.flags.writeable and not t.array.flags.writeable
+    arr[0, 0] = 9.0
+    assert t.array[0, 0] == 0.0
 
 
 def test_from_entries_scalar():
