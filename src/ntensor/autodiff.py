@@ -91,7 +91,7 @@ class ExprError(NamedTensorError):
 
 class Context:
     """Carries the axis-size table during walks; a given table, even an
-    empty one, declares every size, and shape inference holds literals to it."""
+    empty one, declares every size, and shape inference holds constants to it."""
 
     __slots__ = ("axis_sizes",)
 
@@ -141,7 +141,7 @@ class Expr:
         kids = tuple([getattr(self, name) for name in self._operands])
         for kid in kids:
             if not isinstance(kid, Expr):  # the common all-Expr case skips this
-                kids = tuple([wrap(k) for k in kids])
+                kids = tuple([k if isinstance(k, Expr) else Const(k) for k in kids])
                 for name, k in zip(self._operands, kids):
                     setattr(self, name, k)
                 break
@@ -224,16 +224,6 @@ class Expr:
         return Unary("neg", self)
 
 
-def wrap(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, NamedTensor):
-        return Const(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Const(NamedTensor.scalar(value))
-    raise TypeError(f"cannot use {type(value).__name__} in an expression")
-
-
 # ---------------------------------------------------------------------------
 # leaves
 
@@ -256,6 +246,8 @@ class Var(Expr):
 
 
 class Const(Expr):
+    """A constant tensor: a number, a tensor literal or a drawn random literal."""
+
     value: NamedTensor
 
     def __post_init__(self):
@@ -263,64 +255,19 @@ class Const(Expr):
         super().__post_init__()
 
     def _infer(self, child_shapes, ctx, env):
-        return self.value.shape
-
-    def _eval(self, child_values, ctx, env):
-        return self.value
-
-
-def _freeze(values):
-    if isinstance(values, (list, tuple)):
-        return tuple(_freeze(v) for v in values)
-    return float(values)
-
-
-_MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's limit
-
-
-class Literal(Expr):
-    """A nested-list tensor literal; nesting level i binds axis_names[i]."""
-
-    values: object
-    axis_names: tuple
-
-    def __post_init__(self):
-        self.values = _freeze(self.values)
-        super().__post_init__()
-
-    def _build(self) -> NamedTensor:
-        depth, first = 0, self.values
-        while isinstance(first, tuple):
-            depth, first = depth + 1, (first[0] if first else None)
-        if depth != len(self.axis_names):
-            raise ShapeMismatch(
-                f"literal nests {depth} deep but names {len(self.axis_names)} axes"
-            )
-        if depth > _MAX_DIMS:
-            raise ShapeError(f"literal names {depth} axes; at most {_MAX_DIMS} are supported")
-        try:
-            arr = np.asarray(self.values, dtype=np.float64)
-        except ValueError as e:
-            raise ShapeMismatch(f"ragged tensor literal: {e}") from None
-        try:
-            return NamedTensor.from_array(arr, self.axis_names)
-        except ValueError as e:
-            raise ShapeError(str(e)) from None
-
-    def _infer(self, child_shapes, ctx, env):
-        shape = self._build().shape
+        shape = self.value.shape
         if ctx.axis_sizes is not None:
-            for name in self.axis_names:
-                declared = ctx.size_of(name)
-                if declared != shape.size(name):
+            for ax in shape:
+                declared = ctx.size_of(ax.name)
+                if declared != ax.size:
                     raise SizeMismatch(
-                        f"literal gives {name!r} size {shape.size(name)}, "
+                        f"literal gives {ax.name!r} size {ax.size}, "
                         f"declared size is {declared}"
                     )
         return shape
 
     def _eval(self, child_values, ctx, env):
-        return self._build()
+        return self.value
 
 
 class RandomLiteral(Expr):
@@ -713,7 +660,6 @@ class PartialIndex(Expr):
 
 var = Var
 const = Const
-literal = Literal
 random_literal = RandomLiteral
 size_of = SizeOf
 reduce = Reduce
@@ -726,6 +672,11 @@ split = Split
 unroll = Unroll
 index_select = IndexSelect
 partial_index = PartialIndex
+
+
+def literal(values, axis_names: Sequence[str]) -> Expr:
+    """A constant from nested lists; level ``i`` of nesting binds ``axis_names[i]``."""
+    return Const(NamedTensor.from_nested(values, axis_names))
 
 
 def add(a, b) -> Expr:

@@ -52,6 +52,12 @@ class Positions:
         return line + 1, offset - start + 1
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` lexes as one identifier that is not a reserved word."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == "IDENT" and text not in RESERVED
+
+
 def tokenize(source: str) -> List[Token]:
     """The tokens of ``source``, ending in one ``EOF`` token."""
     tokens = []

@@ -27,8 +27,10 @@ from typing import List, Optional, Tuple
 
 from .. import autodiff as ad
 from .. import ops
+from ..errors import NamedTensorError
+from ..tensor import NamedTensor
 from .diagnostics import ParseError
-from .lex import RESERVED, Positions, Token, tokenize
+from .lex import RESERVED, Positions, Token, is_name, tokenize
 
 __all__ = [
     "AxisDecl", "ShapeDecl", "Binding", "Directive", "Program",
@@ -373,7 +375,12 @@ class _Parser:
     def literal(self) -> ad.Expr:
         start = self.peek()
         values = self.nested()
-        return self._spanned(ad.Literal(values, self.over("tensor literals")), start)
+        axes = self.over("tensor literals")
+        try:
+            value = NamedTensor.from_nested(values, axes)
+        except NamedTensorError as e:
+            raise ParseError(*self.at(start), str(e)) from None
+        return self._spanned(ad.Const(value), start)
 
     def random_literal(self) -> ad.Expr:
         start = self.advance()
@@ -427,9 +434,20 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 # printing
 
+def _name(name: str) -> str:
+    """``name``, if the lexer reads it back as one identifier."""
+    if not is_name(name):
+        raise ValueError(f"name {name!r} has no surface syntax")
+    return name
+
+
+def _names(names) -> str:
+    return ", ".join(map(_name, names))
+
+
 def _fmt_values(values) -> str:
-    """A number, or a nested tuple of numbers as a bracketed literal body."""
-    if isinstance(values, tuple):
+    """A number, or nested lists of numbers as a bracketed literal body."""
+    if isinstance(values, list):
         return "[" + ", ".join(_fmt_values(v) for v in values) + "]"
     if math.isnan(values):
         raise ValueError("nan has no surface syntax")
@@ -473,19 +491,19 @@ def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
         sym, level = _SYMBOL[node.op]
         return f"{sub(node.a, level)} {sym} {sub(node.b, level + 1)}", level
     if isinstance(node, ad.Contract):
-        return (f"{sub(node.a, _LEVEL_FACTOR)} .{{{', '.join(node.axes)}}} "
+        return (f"{sub(node.a, _LEVEL_FACTOR)} .{{{_names(node.axes)}}} "
                 f"{sub(node.b, _LEVEL_POSTFIX)}", _LEVEL_FACTOR)
     if isinstance(node, ad.Rename):
-        suffix = f"[{node.old}->{node.new}]"
+        suffix = f"[{_name(node.old)}->{_name(node.new)}]"
     elif isinstance(node, ad.Merge):
-        suffix = f"[({', '.join(node.parts)})->{node.merged_name}]"
+        suffix = f"[({_names(node.parts)})->{_name(node.merged_name)}]"
     elif isinstance(node, ad.PartialIndex):
         if len(node.bindings) != 1:  # the parser builds one node per [name=i]
             raise ValueError(
                 f"partial index with {len(node.bindings)} bindings has no surface syntax"
             )
         (name, i), = node.bindings
-        suffix = f"[{name}={i}]"
+        suffix = f"[{_name(name)}={i}]"
     else:
         return _format_atom(node, sub), _LEVEL_ATOM
     return sub(node.child, _LEVEL_POSTFIX) + suffix, _LEVEL_POSTFIX
@@ -493,24 +511,23 @@ def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
 
 def _format_atom(node: ad.Expr, sub) -> str:
     if isinstance(node, ad.Var):
-        return node.name
+        return _name(node.name)
     if isinstance(node, ad.Const):
-        if len(node.value.shape):
-            raise ValueError("non-scalar constants have no surface syntax")
+        shape = node.value.shape
+        if len(shape):  # a tensor literal, over its canonical axes
+            return f"{_fmt_values(node.value.array.tolist())} over ({_names(shape.names)})"
         if node.value.item() == math.inf:  # only -inf is an atom
             raise ValueError("a constant inf has no surface syntax")
         return _fmt_values(node.value.item())
-    if isinstance(node, ad.Literal):
-        return f"{_fmt_values(node.values)} over ({', '.join(node.axis_names)})"
     if isinstance(node, ad.RandomLiteral):
-        return f"random over ({', '.join(node.axis_names)})"
+        return f"random over ({_names(node.axis_names)})"
     if isinstance(node, ad.SizeOf):
-        return f"size({node.axis_name})"
+        return f"size({_name(node.axis_name)})"
     if isinstance(node, ad.Unary) and node.op == "sqrt":
         return f"sqrt({sub(node.child, _LEVEL_EXPR)})"
     name, axes = _call_form(node)
     args = ", ".join(sub(c, _LEVEL_EXPR) for c in node.children())
-    return f"{name}{{{', '.join(axes)}}}({args})"
+    return f"{name}{{{_names(axes)}}}({args})"
 
 
 def format_expr(root: ad.Expr) -> str:
@@ -535,13 +552,13 @@ def format_program(program: Program) -> str:
     lines = []
     for st in program.statements:
         if isinstance(st, AxisDecl):
-            lines.append(f"axis {st.name} = {st.size}")
+            lines.append(f"axis {_name(st.name)} = {st.size}")
         elif isinstance(st, ShapeDecl):
-            lines.append(f"{st.name} : R[{', '.join(st.axes)}]")
+            lines.append(f"{_name(st.name)} : R[{_names(st.axes)}]")
         elif isinstance(st, Binding):
-            lines.append(f"{st.name} = {format_expr(st.expr)}")
+            lines.append(f"{_name(st.name)} = {format_expr(st.expr)}")
         elif isinstance(st, Directive):
-            lines.append(f"{st.kind} {st.target}")
+            lines.append(f"{st.kind} {_name(st.target)}")
         else:
             raise ValueError(f"unknown statement {st!r}")
     return "\n".join(lines) + "\n"

@@ -98,10 +98,6 @@ def evaluate_program(program: Program, seed: int = 0) -> Dict[str, NamedTensor]:
     return run_program(program, seed).env
 
 
-def _is_literal_binding(expr: ad.Expr) -> bool:
-    return isinstance(expr, (ad.Const, ad.Literal))
-
-
 def grad_program(
     program: Program,
     of: Optional[str],
@@ -132,7 +128,7 @@ def grad_program(
         raise NamedTensorError(f"'{of}' is not a bound identifier")
     if wrt not in run.exprs:
         raise NamedTensorError(f"'{wrt}' is not a bound identifier")
-    if not _is_literal_binding(run.exprs[wrt]):
+    if not isinstance(run.exprs[wrt], ad.Const):
         raise NamedTensorError(
             f"'{wrt}' must be bound to a tensor or random literal to "
             f"differentiate with respect to it"
@@ -146,7 +142,7 @@ def grad_program(
         for node in order:
             if isinstance(node, ad.Var) and node.name in spliced:
                 memo[id(node)] = spliced[node.name]
-        if not _is_literal_binding(expr):
+        if not isinstance(expr, ad.Const):
             spliced[name] = _rebuild(order, memo)
         if name == of:
             break

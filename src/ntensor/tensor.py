@@ -22,12 +22,14 @@ from .errors import (
     DuplicateEntry,
     InvalidRecord,
     MissingEntry,
+    ShapeError,
     ShapeMismatch,
 )
 
 __all__ = ["NamedTensor", "as_tensor"]
 
 _FLOAT_FMT = "{:.17g}"
+_MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's limit
 
 
 class NamedTensor:
@@ -89,13 +91,27 @@ class NamedTensor:
 
     @classmethod
     def from_nested(cls, values, axis_names: Sequence[str]) -> "NamedTensor":
-        """Build from nested lists; level ``i`` of nesting binds ``axis_names[i]``."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != len(axis_names):
-            raise ShapeMismatch(
-                f"nesting depth {arr.ndim} does not match {len(axis_names)} axis names"
-            )
-        return cls.from_array(arr, axis_names)
+        """Build from nested lists; level ``i`` of nesting binds ``axis_names[i]``.
+
+        The depth is read down the first entries, so it is checked before
+        numpy sees the values; ragged nesting raises :class:`ShapeMismatch`.
+        """
+        depth, first = 0, values
+        while isinstance(first, (list, tuple)):
+            depth, first = depth + 1, (first[0] if first else None)
+        depth += np.ndim(first)  # an array entry nests as deep as its dimensions
+        if depth != len(axis_names):
+            raise ShapeMismatch(f"literal nests {depth} deep but names {len(axis_names)} axes")
+        if depth > _MAX_DIMS:
+            raise ShapeError(f"literal names {depth} axes; at most {_MAX_DIMS} are supported")
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except ValueError as e:
+            raise ShapeMismatch(f"ragged tensor literal: {e}") from None
+        try:
+            return cls.from_array(arr, axis_names)
+        except ValueError as e:  # a repeated axis name
+            raise ShapeError(str(e)) from None
 
     @classmethod
     def from_array(cls, array, axis_names: Sequence[str]) -> "NamedTensor":

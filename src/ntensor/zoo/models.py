@@ -174,11 +174,10 @@ def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
         [1.0 if v == (p % vocab) + 1 else 0.0 for v in range(1, vocab + 1)]
         for p in range(seq)
     ]
-    pos, mask = positional_encoding(seq, layer), causal_mask(seq)
     inputs = {
         "I": ad.literal(onehots, ("seq", "vocab")),
-        "P": ad.literal(pos.to_array(["seq", "layer"]).tolist(), ("seq", "layer")),
-        "M": ad.literal(mask.to_array(["seq", "seq'"]).tolist(), ("seq", "seq'")),
+        "P": ad.const(positional_encoding(seq, layer)),
+        "M": ad.const(causal_mask(seq)),
     }
     statements = [AxisDecl(name, size) for name, size in axes.items()]
     statements += [

@@ -519,6 +519,17 @@ def test_kernels_are_looked_up_on_ops_at_call_time(monkeypatch):
     assert calls == {"contract": 5, "softmax": 2}
 
 
+def test_unknown_reduction_raises_at_construction():
+    with pytest.raises(ValueError, match="unknown reduction 'bogus'"):
+        ad.reduce(_X, "bogus", ["a"])
+
+
+@pytest.mark.parametrize("operand", ["a", True], ids=["str", "bool"])
+def test_operands_that_are_not_tensors_or_numbers_raise(operand):
+    with pytest.raises(TypeError):
+        ad.add(_X, operand)
+
+
 def test_random_literal_needs_materialising():
     with pytest.raises(ad.ExprError, match="run_program"):
         ad.evaluate(ad.random_literal(["a"]), axis_sizes={"a": 2})

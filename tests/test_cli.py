@@ -51,6 +51,13 @@ def test_eval_byte_identical_across_runs(capsys):
     assert first == second
 
 
+def test_eval_print_of_a_declared_name_without_a_value(tmp_path, capsys):
+    path = tmp_path / "declared.nt"
+    path.write_text("axis h = 2\nA : R[h]\nprint A\n")
+    assert main(["eval", str(path)]) == 1
+    assert capsys.readouterr().err == "3:1: error: 'A' has no value to print\n"
+
+
 def test_eval_seed_changes_random_literals(capsys):
     program = str(CORPUS / "valid" / "feedforward.nt")
     main(["eval", program, "--seed", "1"])

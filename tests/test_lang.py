@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ntensor import Shape, SplitMix64, ops
+from ntensor import NamedTensorError, Shape, SplitMix64, ops
 from ntensor import autodiff as ad
 from ntensor import lang
 from ntensor.cli import main
+from ntensor.lang.lex import RESERVED
+from ntensor.tensor import _MAX_DIMS
 from ntensor.zoo import transformer_program
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -118,11 +121,60 @@ def test_round_trips_cover_the_call_table():
     ad.literal([math.nan, 1.0], ["i"]),
     ad.partial_index(ad.var("X"), {}),
     ad.partial_index(ad.var("X"), {"a": 1, "b": 2}),
+    ad.literal([1.0], ["1a"]),
+    ad.sum_(ad.var("X"), ["over"]),
+    ad.var("1x"),
 ], ids=["pow", "inner_size", "pool_inner_size", "kernel_size", "k_size",
-        "nan", "inf", "nan_entry", "partial_index_none", "partial_index_two"])
+        "nan", "inf", "nan_entry", "partial_index_none", "partial_index_two",
+        "digit_axis", "reserved_axis", "digit_var"])
 def test_nodes_the_language_cannot_write_do_not_print(expr):
     with pytest.raises(ValueError, match="has no surface syntax"):
         lang.format_expr(expr)
+
+
+@pytest.mark.parametrize("statement", [
+    lang.AxisDecl("1a", 2),
+    lang.ShapeDecl("X", ("a b",)),
+    lang.Binding("print", ad.var("X")),
+    lang.Directive("print", "X-1"),
+], ids=["axis", "shape", "binding", "directive"])
+def test_statements_with_unreadable_names_do_not_print(statement):
+    with pytest.raises(ValueError, match="has no surface syntax"):
+        lang.format_program(lang.Program((statement,)))
+
+
+# Axis names as the lexer reads them, primes included.
+_AXIS_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}'{0,2}", fullmatch=True).filter(
+    lambda name: name not in RESERVED
+)
+_ENTRIES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, -0.0, 1e308, -1e308, 5e-324, 2.225e-308]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_AXIS_NAMES, st.integers(1, 3)), min_size=1, max_size=3,
+                unique_by=lambda axis: axis[0]),
+       st.data())
+def test_literals_print_over_canonical_axes_and_reparse_equal(axes, data):
+    names = [name for name, _ in axes]
+    sizes = [size for _, size in axes]
+    n = math.prod(sizes)
+    flat = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    c = ad.literal(np.array(flat).reshape(sizes).tolist(), names)
+    text = lang.format_expr(c)
+    assert text.endswith(f" over ({', '.join(sorted(names))})")
+    back = lang.parse(f"Z = {text}").statements[0].expr
+    assert back == c
+    assert back.value.array.tobytes() == c.value.array.tobytes()  # -0.0 too
+
+
+def test_a_literal_equals_its_transpose_written_over_swapped_axes():
+    a = lang.parse("X = [[1, 2], [3, 4]] over (a, b)").statements[0].expr
+    b = lang.parse("X = [[1, 3], [2, 4]] over (b, a)").statements[0].expr
+    assert a == b
+    assert lang.format_expr(b) == "[[1.0, 2.0], [3.0, 4.0]] over (a, b)"
 
 
 def test_parse_examples():
@@ -174,6 +226,24 @@ def test_syntax_errors_have_spans(source, fragment):
         lang.parse(source)
     assert (err.value.line, err.value.col) == SYNTAX_SPANS[source]
     assert fragment.lower() in err.value.bare_message.lower()
+
+
+_WIDE = ", ".join(f"a{i}" for i in range(_MAX_DIMS + 1))
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("[[1, 2], [3]] over (h, g)", "ragged tensor literal: "),
+    ("[[1, 2]] over (h)", "literal nests 2 deep but names 1 axes"),
+    ("[1, 2] over (h, g)", "literal nests 1 deep but names 2 axes"),
+    ("[[1, 2], [3, 4]] over (h, h)", "duplicate axis name in shape: 'h'"),
+    ("[" * (_MAX_DIMS + 1) + "1" + "]" * (_MAX_DIMS + 1) + f" over ({_WIDE})",
+     f"literal names {_MAX_DIMS + 1} axes; at most {_MAX_DIMS} are supported"),
+], ids=["ragged", "over_deep", "under_deep", "repeated_axis", "too_many_axes"])
+def test_malformed_literals_are_parse_errors(literal, message):
+    with pytest.raises(lang.ParseError) as err:
+        lang.parse(f"axis h = 2\nA = {literal}\nB = A + 1\n")
+    assert (err.value.line, err.value.col) == (2, 5)
+    assert err.value.bare_message.startswith(message)
 
 
 def test_whitespace_insensitive():
@@ -250,15 +320,16 @@ print C
 
 
 def test_checker_collects_across_statements():
+    head = "axis h = 3\nA = [1, 2] over (h)\nB = [1, 2, 3, 4] over (h)\n"
     deep = "[" * 70 + "1" + "]" * 70  # deeper than numpy's 64 dimensions
-    source = (
-        "axis h = 3\nA = [1, 2] over (h)\nB = [1, 2, 3, 4] over (h)\n"
-        f"C = {deep} over (h)\n"
-    )
-    diags = lang.check(lang.parse(source))
+    with pytest.raises(lang.ParseError) as err:
+        lang.parse(head + f"C = {deep} over (h)\n")
+    assert (err.value.line, err.value.col) == (4, 5)
+    assert "literal nests 70 deep but names 1 axes" in err.value.bare_message
+    diags = lang.check(lang.parse(head + "C = [1, 2, 3] over (g)\n"))
     assert len(diags) == 3
     assert (diags[2].line, diags[2].col) == (4, 5)
-    assert "literal nests 70 deep but names 1 axes" in diags[2].message
+    assert "axis 'g' has no declared size" in diags[2].message
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +439,19 @@ def test_grad_softmax_program_closed_form():
     assert deriv.value.allclose(closed, atol=1e-12)
     # the grad directive supplies the default target
     assert lang.grad_program(program, None, "X").value == deriv.value
+
+
+@pytest.mark.parametrize("directives, of, wrt, message", [
+    ("", None, "X", "does not have exactly one grad directive"),
+    ("grad Y\ngrad Y\n", None, "X", "does not have exactly one grad directive"),
+    ("", "Q", "X", "'Q' is not a bound identifier"),
+    ("", "Y", "Q", "'Q' is not a bound identifier"),
+], ids=["no_directive", "two_directives", "unbound_of", "unbound_wrt"])
+def test_grad_program_errors(directives, of, wrt, message):
+    source = "axis ax = 2\nX = [1, 2] over (ax)\nY = sum{ax}(X * X)\n"
+    program = lang.parse(source + directives)
+    with pytest.raises(NamedTensorError, match=message):
+        lang.grad_program(program, of, wrt)
 
 
 def test_grad_identity_is_identity_tensor():

@@ -13,6 +13,7 @@ from ntensor import (
     NamedTensor,
     Record,
     Shape,
+    ShapeMismatch,
     SplitMix64,
     ops,
 )
@@ -57,6 +58,24 @@ def test_from_entries_missing_and_duplicates():
         )
     with pytest.raises(InvalidRecord):
         NamedTensor.from_entries(shape, {Record.of(width=1): 1.0, Record.of(height=2): 2.0})
+
+
+@pytest.mark.parametrize("values, names, message", [
+    ([[1.0, 2.0], [3.0]], ["a", "b"], "ragged tensor literal: "),
+    ([[1.0, 2.0]], ["a"], "literal nests 2 deep but names 1 axes"),
+    ([1.0, 2.0], ["a", "b"], "literal nests 1 deep but names 2 axes"),
+], ids=["ragged", "over_deep", "under_deep"])
+def test_from_nested_rejects_malformed_nesting(values, names, message):
+    with pytest.raises(ShapeMismatch) as err:
+        NamedTensor.from_nested(values, names)
+    assert str(err.value).startswith(message)
+
+
+def test_from_nested_reads_array_entries_as_nesting():
+    rows = np.arange(6.0).reshape(2, 3)
+    want = NamedTensor.from_array(rows, ["a", "b"])
+    assert NamedTensor.from_nested(rows, ["a", "b"]) == want
+    assert NamedTensor.from_nested(list(rows), ["a", "b"]) == want
 
 
 def test_get_is_order_independent():

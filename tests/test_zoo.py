@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ntensor import Axis, DivisionByZero, NamedTensor, Shape, SplitMix64, lang, ops, zoo
+from ntensor import (
+    Axis, DivisionByZero, NamedTensor, Shape, SizeMismatch, SplitMix64, lang, ops, zoo,
+)
 from ntensor.zoo import fixtures, models, oracles
 
 import helpers as H
@@ -205,6 +207,14 @@ def test_transformer_rows_sum_to_one():
     out = zoo.transformer_lm(NamedTensor.from_nested(onehots, ["seq", "vocab"]), params)
     sums = ops.reduce(out, "sum", ["vocab"])
     assert np.allclose(sums.array, 1.0, atol=1e-12)
+
+
+def test_transformer_rejects_misnamed_parameters():
+    onehots, _, _, params, _ = fixtures.build_transformer(3)
+    params = dict(params)
+    params["WQ9"] = params.pop("WQ1")
+    with pytest.raises(ValueError, match="transformer parameters must be named"):
+        zoo.transformer_lm(NamedTensor.from_nested(onehots, ["seq", "vocab"]), params)
 
 
 def test_transformer_batch_axis_equals_stacked_runs():
@@ -480,6 +490,18 @@ def test_beam_size_one_is_greedy():
     )
     assert new_scores.get({"beam": 1}) == ops.reduce(best, "max", ["state"]).item()
     assert ops.reduce(new_states, "sum", ["state"]).to_array(["beam"]).tolist() == [1.0]
+
+
+def test_beam_larger_than_the_state_count_raises():
+    scores, states, trans, offset = fixtures.build_beam(8, nstate=5, nbeam=1)
+    with pytest.raises(SizeMismatch, match="beam size 6 exceeds 5 states"):
+        zoo.beam_step(
+            NamedTensor.from_nested(scores, ["beam"]),
+            NamedTensor.from_nested(states, ["beam", "state"]),
+            fixtures.make_transition(trans, offset),
+            5,
+            6,
+        )
 
 
 def test_beam_batch_axis_equals_independent_steps():
