@@ -3,8 +3,9 @@
 An :class:`Expr` is an immutable node in an acyclic graph: variables and
 constants at the leaves, tensor operations above them.  The same graph is
 used three ways: :func:`infer_shape` runs the shape rules only,
-:func:`evaluate` computes values, and :func:`vjp` / :func:`jacobian`
-differentiate.
+:func:`evaluate` computes values, each held until its last reader, and
+:func:`vjp` / :func:`jacobian` differentiate.  :func:`splice` joins named
+bindings, as a program or model writes them, into one graph.
 
 Each node class is a dataclass of its fields: those annotated ``Expr`` are
 its operands, in order, and the others are its static parameters.  Fields
@@ -21,8 +22,8 @@ time.  Beyond its fields, a node class holds only real shape or kernel glue
 and its VJP rule.
 
 Random literals (``random over (axes)``) have a shape but no values here:
-:func:`ntensor.lang.run_program` replaces them with seeded constants before
-evaluating, and evaluating one that was not replaced raises.
+:mod:`ntensor.lang` replaces them with seeded constants before evaluating,
+and evaluating one that was not replaced raises.
 
 Derivatives follow the named-axis convention: the derivative of ``Y`` (shape
 ``T``) with respect to variable ``X`` (shape ``S``) is a tensor over ``S``
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +77,7 @@ __all__ = [
     "contract", "softmax", "argmax", "argmin", "standardize",
     "rename", "merge", "split", "unroll", "index_select",
     "maxk", "argmaxk", "det", "inv", "partial_index",
-    "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
+    "splice", "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
 ]
 
 
@@ -791,6 +792,40 @@ def _topo(root: Expr) -> list:
     return order
 
 
+def _rebuild(order: list, memo: dict) -> Expr:
+    """Rebuild the graph listed bottom-up in ``order`` (a ``_topo`` list).
+
+    ``memo`` maps ``id(node)`` to the node's replacement.  Every node not
+    in it is kept when its rebuilt children are its own children, and is
+    rebuilt on them otherwise; it is entered into ``memo`` either way.
+    """
+    for node in order:
+        if id(node) not in memo:
+            old = node.children()
+            kids = tuple([memo[id(c)] for c in old])
+            same = all(k is c for k, c in zip(kids, old))
+            memo[id(node)] = node if same else node.with_children(kids)
+    return memo[id(order[-1])]
+
+
+def splice(bindings: Iterable[Tuple[str, Optional[Expr]]]) -> Dict[str, Expr]:
+    """A graph for each computed binding of the ordered ``(name, expr)``
+    pairs, in which every read of an earlier one is that binding's shared
+    graph.  Reads of a binding to None, a :class:`Const` or a
+    :class:`RandomLiteral` stay variables."""
+    graphs: Dict[str, Expr] = {}
+    memo: dict = {}
+    for name, expr in bindings:
+        if expr is None or isinstance(expr, (Const, RandomLiteral)):
+            continue
+        order = _topo(expr)
+        for node in order:
+            if isinstance(node, Var) and node.name in graphs:
+                memo[id(node)] = graphs[node.name]
+        graphs[name] = _rebuild(order, memo)
+    return graphs
+
+
 def _normalize_env(env) -> dict:
     return dict(env) if env else {}
 
@@ -798,17 +833,19 @@ def _normalize_env(env) -> dict:
 def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
     ctx = Context(axis_sizes)
-    _, shapes = _forward(e, _normalize_env(env), ctx, "_infer")
+    _, shapes = _forward(e, _normalize_env(env), ctx, "_infer", root_only=True)
     return shapes[id(e)]
 
 
-def _forward(e: Expr, env, ctx: Context, step: str = "_eval"):
+def _forward(e: Expr, env, ctx: Context, step: str = "_eval", root_only: bool = False):
     """Apply ``node._eval`` (or ``step``) to every node, children first.
 
-    Returns the ``_topo`` order and each node's result by ``id``; an error
-    is re-raised as an :class:`ExprError` naming the node that raised it.
+    Returns the ``_topo`` order and each node's result by ``id`` (with
+    ``root_only``, each is dropped after its last reader); an error is
+    re-raised as an :class:`ExprError` naming the node that raised it.
     """
     order = _topo(e)
+    last = {id(c): node for node in order for c in node.children()} if root_only else {}
     out: dict = {}
     for node in order:
         try:
@@ -818,13 +855,16 @@ def _forward(e: Expr, env, ctx: Context, step: str = "_eval"):
             raise
         except NamedTensorError as err:
             raise ExprError(node, err) from err
+        for c in node.children():
+            if last.get(id(c)) is node:
+                out.pop(id(c), None)
     return order, out
 
 
 def evaluate(e: Expr, env=None, *, axis_sizes=None) -> NamedTensor:
     """Evaluate the expression under the given variable bindings."""
     ctx = Context(axis_sizes)
-    _, vals = _forward(e, _normalize_env(env), ctx)
+    _, vals = _forward(e, _normalize_env(env), ctx, root_only=True)
     return vals[id(e)]
 
 

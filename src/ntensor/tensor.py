@@ -94,7 +94,8 @@ class NamedTensor:
         """Build from nested lists; level ``i`` of nesting binds ``axis_names[i]``.
 
         The depth is read down the first entries, so it is checked before
-        numpy sees the values; ragged nesting raises :class:`ShapeMismatch`.
+        numpy sees the values; ragged nesting raises :class:`ShapeMismatch`
+        and an entry that is not a number ``TypeError``.
         """
         depth, first = 0, values
         while isinstance(first, (list, tuple)):
@@ -107,6 +108,9 @@ class NamedTensor:
         try:
             arr = np.asarray(values, dtype=np.float64)
         except ValueError as e:
+            for entry in np.asarray(values, dtype=object).flat:
+                if isinstance(entry, (str, bytes)):
+                    raise TypeError(f"tensor literal entry {entry!r} is not a number") from None
             raise ShapeMismatch(f"ragged tensor literal: {e}") from None
         try:
             return cls.from_array(arr, axis_names)

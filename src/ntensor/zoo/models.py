@@ -1,8 +1,8 @@
 """Composed reference models: an autoregressive transformer LM and LeNet.
 
 The transformer is written once, as the ordered ``.nt`` bindings of
-``transformer_bindings``: ``transformer_lm`` evaluates them one binding at
-a time and ``transformer_program`` prints them as a program.
+``transformer_bindings``: ``transformer_lm`` splices them into one graph and
+evaluates it, and ``transformer_program`` prints them as a program.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def transformer_parameters(depth: int) -> List[Tuple[str, Tuple[str, ...]]]:
 
 def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
     """Autoregressive transformer language model: ``transformer_bindings``
-    evaluated one binding at a time, each value dropped after its last
-    reader.
+    spliced into one graph and evaluated, each value held only until its
+    last reader.
 
     ``onehots`` is a one-hot tensor over {seq, vocab} (extra axes such as
     batch broadcast through every stage).  ``params`` maps each name of
@@ -141,21 +141,7 @@ def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
         params, I=onehots,
         P=positional_encoding(seq_len, sizes["layer"]), M=causal_mask(seq_len),
     )
-    # Each binding's last reads: the names it reads that no later binding
-    # does.  Dropping them after it runs keeps only live values in env.
-    last_reads, read_later = [], {"O"}
-    for _, expr in reversed(bindings):
-        reads = set() if expr is None else {
-            node.name for node in ad._topo(expr) if isinstance(node, ad.Var)
-        }
-        last_reads.append(reads - read_later)
-        read_later |= reads
-    for (name, expr), dead in zip(bindings, reversed(last_reads)):
-        if name not in env:  # inputs and parameters are bound already
-            env[name] = ad.evaluate(expr, env, axis_sizes=sizes)
-        for read in dead:
-            del env[read]
-    return env["O"]
+    return ad.evaluate(ad.splice(bindings)["O"], env, axis_sizes=sizes)
 
 
 def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,

@@ -1,6 +1,7 @@
 """Differentiation: finite-difference agreement, closed forms, priming."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,8 +408,44 @@ BUILDERS = {
 }
 NOT_BUILDERS = {
     "Expr", "ExprError", "Derivative", "LiftReport",
-    "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
+    "splice", "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
 }
+
+
+def test_evaluate_holds_only_live_values():
+    """``evaluate`` drops each value after its last reader: a chain of 40
+    ``exp``-and-scale steps over a 1 MB tensor peaks under 4 MB of traced
+    allocations, where keeping every value peaks near 41 MB."""
+    x = NamedTensor.from_array(np.zeros((512, 256)), ["a", "b"])
+    e = ad.var("X")
+    for _ in range(40):
+        e = ad.exp(e) * 0.5
+    ad.evaluate(e, {"X": x})  # first-call allocations are not the chain's
+    tracemalloc.start()
+    try:
+        ad.evaluate(e, {"X": x})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_splice_shares_each_binding_and_keeps_inputs_as_variables():
+    bindings = [
+        ("I", None),
+        ("C", ad.Const(NamedTensor.from_nested([1.0, 2.0], ["a"]))),
+        ("R", ad.random_literal(["a"])),
+        ("S", ad.var("I") * ad.var("C") + ad.var("R")),
+        ("T", ad.exp(ad.var("S")) + ad.var("S")),
+    ]
+    graphs = ad.splice(bindings)
+    assert set(graphs) == {"S", "T"}
+    exp_s, s = graphs["T"].children()
+    assert s is graphs["S"] and exp_s.children()[0] is graphs["S"]
+    assert graphs["S"] == ad.var("I") * ad.var("C") + ad.var("R")
+    leaves = [node for node in ad._topo(graphs["T"]) if not node.children()]
+    assert all(isinstance(leaf, ad.Var) for leaf in leaves)
+    assert sorted(leaf.name for leaf in leaves) == ["C", "I", "R"]
 
 
 def test_every_public_builder_is_covered():

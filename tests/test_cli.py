@@ -161,6 +161,14 @@ def test_grad_error_for_non_literal_wrt(capsys):
     assert "literal" in capsys.readouterr().err
 
 
+def test_grad_error_carries_the_span_of_the_failing_node(capsys):
+    program = str(CORPUS / "valid" / "mvn.nt")
+    assert main(["grad", program, "--of", "Density", "--wrt", "X"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "8:5: error: differentiation through inv is not supported\n"
+
+
 def test_zoo_list_and_run(capsys):
     assert main(["zoo", "list"]) == 0
     names = capsys.readouterr().out.split()

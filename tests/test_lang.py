@@ -454,6 +454,23 @@ def test_grad_program_errors(directives, of, wrt, message):
         lang.grad_program(program, of, wrt)
 
 
+def test_grad_evaluates_only_what_its_target_reads():
+    """A later binding that fails at run time does not stop ``grad`` of an
+    earlier one, while ``run_program`` reports it at its span."""
+    source = (
+        "axis a = 2\nX = [1, 2] over (a)\nY = sum{a}(X * X)\n"
+        "Z = softmax{a}([-inf, -inf] over (a))\n"
+    )
+    program = lang.parse(source)
+    assert lang.check(program) == []
+    deriv = lang.grad_program(program, "Y", "X")
+    assert deriv.value.to_array(["a"]).tolist() == [2.0, 4.0]
+    with pytest.raises(lang.RunError) as err:
+        lang.run_program(program)
+    assert (err.value.line, err.value.col) == (4, 5)
+    assert "entirely -inf" in err.value.bare_message
+
+
 def test_grad_identity_is_identity_tensor():
     program = lang.parse("axis ax = 2\nX = [5, 7] over (ax)\n")
     deriv = lang.grad_program(program, "X", "X")

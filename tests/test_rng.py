@@ -87,3 +87,20 @@ def test_transformer_program_prints_a_pinned_stream(seed):
     run = lang.run_program(lang.parse(transformer_program()), seed=seed)
     text = "".join(f"# {name}\n" + t.to_text() for name, t in run.prints)
     assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_SHA256[seed]
+
+
+# The derivative of the default transformer program's output; a change to
+# the stream, to how ``grad`` draws literals, or to the backward pass
+# changes these digests.
+GRAD_SHA256 = {
+    ("I", 0): "44a57d0c5c183b293b7390f966fbc7d118ce39da4e2b71612635f0ffaba64997",
+    ("I", 3): "4a26daa032be73ccd2067342bc57564c82735e20e28e743d1056f1854092735b",
+    ("WQ1", 0): "37a4a5279c31a5a2cd680091527a9edbda69e7bf841974a7976eaa47ad60927d",
+}
+
+
+@pytest.mark.parametrize("wrt, seed", sorted(GRAD_SHA256))
+def test_transformer_program_gradient_is_pinned(wrt, seed):
+    deriv = lang.grad_program(lang.parse(transformer_program()), "O", wrt, seed)
+    digest = hashlib.sha256(deriv.value.to_text().encode()).hexdigest()
+    assert digest == GRAD_SHA256[wrt, seed]

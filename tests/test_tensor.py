@@ -60,13 +60,18 @@ def test_from_entries_missing_and_duplicates():
         NamedTensor.from_entries(shape, {Record.of(width=1): 1.0, Record.of(height=2): 2.0})
 
 
-@pytest.mark.parametrize("values, names, message", [
-    ([[1.0, 2.0], [3.0]], ["a", "b"], "ragged tensor literal: "),
-    ([[1.0, 2.0]], ["a"], "literal nests 2 deep but names 1 axes"),
-    ([1.0, 2.0], ["a", "b"], "literal nests 1 deep but names 2 axes"),
-], ids=["ragged", "over_deep", "under_deep"])
-def test_from_nested_rejects_malformed_nesting(values, names, message):
-    with pytest.raises(ShapeMismatch) as err:
+@pytest.mark.parametrize("values, names, error, message", [
+    ([[1.0, 2.0], [3.0]], ["a", "b"], ShapeMismatch, "ragged tensor literal: "),
+    ([[1.0, 2.0]], ["a"], ShapeMismatch, "literal nests 2 deep but names 1 axes"),
+    ([1.0, 2.0], ["a", "b"], ShapeMismatch, "literal nests 1 deep but names 2 axes"),
+    ([[1, 2], [3]], ["a", "b"], ShapeMismatch, "ragged tensor literal: "),
+    (["a", "b"], ["x"], TypeError, "tensor literal entry 'a' is not a number"),
+    ([[1, "x"], [2, 3]], ["a", "b"], TypeError, "tensor literal entry 'x' is not a number"),
+], ids=["ragged", "over_deep", "under_deep", "ragged_ints", "strings", "one_string"])
+def test_from_nested_rejects_malformed_nesting(values, names, error, message):
+    """Malformed nesting is a shape error; in a regular literal, an entry
+    that is not a number is a type error naming it, as in ``as_tensor``."""
+    with pytest.raises(error) as err:
         NamedTensor.from_nested(values, names)
     assert str(err.value).startswith(message)
 
