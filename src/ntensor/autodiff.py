@@ -48,7 +48,7 @@ Differentiating through ``det``/``inv`` is unsupported and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,9 +155,13 @@ class Expr:
         return tuple([getattr(self, name) for name in self._params])
 
     def with_children(self, kids: Sequence["Expr"]) -> "Expr":
-        """This node with its operands replaced by ``kids``; the span is kept."""
-        new = replace(self, **dict(zip(self._operands, kids)))
-        new.span = self.span
+        """This node with its operands replaced by the expressions ``kids``;
+        the parameters, already checked and normalised, and the span are
+        kept as they are."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.__dict__.update(zip(self._operands, kids))
+        new._children = tuple(kids)
         return new
 
     def _args(self, shape: Shape, ctx: Context) -> tuple:

@@ -22,13 +22,16 @@ and never recurses, so an expression of any depth prints.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .. import autodiff as ad
 from .. import ops
 from ..errors import NamedTensorError
-from ..tensor import NamedTensor
+from ..tensor import _MAX_DIMS, NamedTensor
 from .diagnostics import ParseError
 from .lex import RESERVED, Positions, Token, is_name, tokenize
 
@@ -113,6 +116,9 @@ _INFIX = {
 }
 _SYMBOL = {op: (sym, level) for sym, (op, level) in _INFIX.items()}
 
+# What separates the entries of a LITERAL token.
+_SEPARATORS_RE = re.compile(r"([\s,\[\]]+)")
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -135,7 +141,20 @@ class _Parser:
     def peek(self, ahead: int = 0) -> Token:
         # Callers look ahead only past a token that is not EOF, and EOF is
         # the last token, so the index stays in range.
-        return self.toks[self.i + ahead]
+        tok = self.toks[self.i + ahead]
+        if tok.kind == "LITERAL":  # only literal() reads one whole
+            tok = self.relex(self.i + ahead)
+        return tok
+
+    def relex(self, at: int) -> Token:
+        """Replace the LITERAL token at index ``at`` by the tokens it spans,
+        and return the first of them."""
+        tok = self.toks[at]
+        self.toks[at:at + 1] = [
+            t._replace(offset=tok.offset + t.offset)
+            for t in tokenize(tok.text, literals=False)[:-1]
+        ]
+        return self.toks[at]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -290,7 +309,9 @@ class _Parser:
         raise ParseError(*self.at(nxt), "expected '->' or '=' in suffix")
 
     def atom(self) -> ad.Expr:
-        tok = self.peek()
+        tok = self.toks[self.i]  # not peek(), which re-lexes a LITERAL token
+        if tok.kind == "LITERAL" or tok.kind == "[":
+            return self.literal()
         if tok.kind == "NUMBER":
             self.advance()
             return self._spanned(ad.Const(float(tok.text)), tok)
@@ -304,8 +325,6 @@ class _Parser:
             raise ParseError(*self.at(tok), "'-' here must prefix 'inf' or a number")
         if tok.kind == "(":
             return self.parenthesized()
-        if tok.kind == "[":
-            return self.literal()
         if tok.kind == "IDENT":
             if tok.text == "random":
                 return self.random_literal()
@@ -373,14 +392,50 @@ class _Parser:
     # -- literals ----------------------------------------------------------
 
     def literal(self) -> ad.Expr:
-        start = self.peek()
-        values = self.nested()
+        start = self.toks[self.i]
+        values = self.bulk(start) if start.kind == "LITERAL" else None
+        if values is None:
+            values = self.nested()
+        else:
+            self.i += 1
         axes = self.over("tensor literals")
         try:
             value = NamedTensor.from_nested(values, axes)
         except NamedTensorError as e:
             raise ParseError(*self.at(start), str(e)) from None
         return self._spanned(ad.Const(value), start)
+
+    def bulk(self, tok: Token) -> Optional[np.ndarray]:
+        """The entries of a LITERAL token, read in one pass into an array of
+        the regular shape read down its first entries.  None if its
+        brackets and commas do not have that shape, an entry is not one
+        signed number, or it nests too deep: ``nested`` then reads it
+        token by token and reports the fault."""
+        parts = _SEPARATORS_RE.split(tok.text)  # "", separator, entry, ..., separator, ""
+        skeleton = "".join("0".join(parts[1::2]).split())
+        depth = len(skeleton) - len(skeleton.lstrip("["))
+        if self.depth + depth > self.MAX_DEPTH or depth > _MAX_DIMS:
+            return None
+        sizes, inner = [], 1  # innermost level first
+        for closing in range(1, depth + 1):
+            entries = skeleton.count("0", 0, skeleton.find("]" * closing))
+            if not entries:
+                return None
+            sizes.append(entries // inner)
+            inner = entries
+        regular = "0"
+        for size in sizes:
+            regular = "[" + ",".join([regular] * size) + "]"
+        if skeleton != regular:
+            return None
+        try:
+            # An entry lexed as numbers, "inf" and "-"; float takes exactly
+            # the "-"? NUMBER-or-inf ones, parsing the magnitude apart from
+            # the sign, so each value has the bits of sign * float(number).
+            values = list(map(float, parts[2:-1:2]))
+        except ValueError:
+            return None
+        return np.array(values).reshape(sizes[::-1])
 
     def random_literal(self) -> ad.Expr:
         start = self.advance()

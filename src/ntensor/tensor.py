@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -106,12 +107,13 @@ class NamedTensor:
         if depth > _MAX_DIMS:
             raise ShapeError(f"literal names {depth} axes; at most {_MAX_DIMS} are supported")
         try:
-            arr = np.asarray(values, dtype=np.float64)
+            arr = np.asarray(values)
         except ValueError as e:
-            for entry in np.asarray(values, dtype=object).flat:
-                if isinstance(entry, (str, bytes)):
-                    raise TypeError(f"tensor literal entry {entry!r} is not a number") from None
             raise ShapeMismatch(f"ragged tensor literal: {e}") from None
+        if arr.dtype.kind not in "biuf":  # numpy found an entry that is no number
+            for entry in np.asarray(values, dtype=object).flat:
+                if not isinstance(entry, Real):
+                    raise TypeError(f"tensor literal entry {entry!r} is not a number")
         try:
             return cls.from_array(arr, axis_names)
         except ValueError as e:  # a repeated axis name

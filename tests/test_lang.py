@@ -11,11 +11,13 @@ from ntensor import NamedTensorError, Shape, SplitMix64, ops
 from ntensor import autodiff as ad
 from ntensor import lang
 from ntensor.cli import main
-from ntensor.lang.lex import RESERVED
+from ntensor.lang.lex import RESERVED, tokenize
+from ntensor.lang.parse import _Parser
 from ntensor.tensor import _MAX_DIMS
 from ntensor.zoo import transformer_program
 
 CORPUS = Path(__file__).parent / "corpus"
+_MAX_DEPTH = _Parser.MAX_DEPTH
 VALID = sorted((CORPUS / "valid").glob("*.nt"))
 INVALID = sorted((CORPUS / "invalid").glob("*.nt"))
 
@@ -175,6 +177,115 @@ def test_a_literal_equals_its_transpose_written_over_swapped_axes():
     b = lang.parse("X = [[1, 3], [2, 4]] over (b, a)").statements[0].expr
     assert a == b
     assert lang.format_expr(b) == "[[1.0, 2.0], [3.0, 4.0]] over (a, b)"
+
+
+# Entry texts as a program may write them.
+_ENTRY_TEXTS = st.one_of(
+    st.sampled_from(["-0", "0", "inf", "-inf", "1e308", "-1e308", "5e-324", "2.225e-308",
+                     "1.5E+3", "12"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_SEPARATORS = st.sampled_from(["", " ", " ", "\n", "\t "])
+# A change to a regular literal; the fast path refuses all but None and "axes".
+_MUTATIONS = st.sampled_from([
+    None, None, None, "axes", "ragged", "deeper_entry", "wrapped", "spaced_sign", "comment",
+    "plus", "spaced_exponent", "empty", "unbalanced", "extra_close", "max_depth",
+])
+
+
+@st.composite
+def _literal_programs(draw):
+    """A program binding one literal, and whether the fast path reads it."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    depth, mutation = len(sizes), draw(_MUTATIONS)
+
+    def build(sizes):
+        if not sizes:
+            return draw(_ENTRY_TEXTS)
+        items = [build(sizes[1:]) for _ in range(sizes[0])]
+        return "[" + draw(_SEPARATORS) + ("," + draw(_SEPARATORS)).join(items) + "]"
+
+    if mutation == "ragged" and depth > 1:  # the last row differs at one level
+        other = list(sizes[1:])
+        level = draw(st.integers(0, depth - 2))
+        other[level] += 1 if other[level] == 1 else draw(st.sampled_from([-1, 1]))
+        text = "[" + ", ".join([build(sizes[1:])] * (sizes[0] - 1) + [build(other)]) + "]"
+    else:
+        text = build(sizes)
+    first = text.lstrip("[ \t\n").split(",")[0].split("]")[0].strip()  # the first entry
+    edits = {
+        "deeper_entry": (first, f"[{first}]"), "wrapped": ("", "["), "plus": (first, "+1"),
+        "spaced_sign": (first, draw(st.sampled_from(["- inf", "-\n1", "- 2"]))),
+        "comment": (first, f"{first} # c\n"), "spaced_exponent": (first, "1 e 5"),
+        "empty": (first, "[]"), "unbalanced": ("]", ""),
+    }
+    if mutation in edits:
+        old, new = edits[mutation]
+        text = text.replace(old, new, 1) + ("]" if mutation == "wrapped" else "")
+    elif mutation == "extra_close":
+        text += "]"
+    parens = draw(st.integers(0, 3))
+    if mutation == "max_depth":
+        parens = _MAX_DEPTH - depth + draw(st.integers(-1, 1))
+    axes = [f"a{i}" for i in range(depth + (mutation == "axes"))]
+    source = (f"axis a0 = 2\nA = {'(' * parens}{text} over ({', '.join(axes)}){')' * parens}"
+              f"\nB = A + 1\n")
+    fast = mutation in (None, "axes") or (mutation == "max_depth" and parens + depth <= _MAX_DEPTH)
+    return source, fast
+
+
+def _outcome(parse) -> tuple:
+    """A program and the span and bits of every node, or the error text."""
+    try:
+        program = parse()
+    except lang.ParseError as e:
+        return ("error", str(e))
+    nodes = [
+        (stmt.span, type(n).__name__, n.span,
+         n.value.array.tobytes() if isinstance(n, ad.Const) else None)
+        for stmt in program.statements if isinstance(stmt, lang.Binding)
+        for n in ad._topo(stmt.expr)
+    ]
+    return program, nodes
+
+
+def _token_path(source: str):
+    """What the parser makes of ``source`` reading every literal token by token."""
+    tokens = tokenize(source, literals=False)
+    parser = _Parser(source)
+    parser.toks = tokens
+    return parser.program()
+
+
+def _assert_paths_agree(source: str):
+    bulk, tokens = _outcome(lambda: lang.parse(source)), _outcome(lambda: _token_path(source))
+    assert bulk == tokens
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_literal_programs())
+def test_fast_literal_path_agrees_with_the_token_path(case):
+    source, fast = case
+    _assert_paths_agree(source)
+    literal = [t for t in tokenize(source) if t.kind == "LITERAL"]
+    if fast:  # the fast path read it: one token, converted in bulk
+        assert len(literal) == 1 and _Parser(source).bulk(literal[0]) is not None
+
+
+@pytest.mark.parametrize("source", [
+    # a bracket that is not a literal
+    "X[1]", "A = X[1]", "A = X[1] over (a)", "Y: R[1]", "Y : R[[1]]", "A = -[1] over (a)",
+    "A = [1, 2] over (a) [3]", "A = [1] , [2]", "A = [1] over (a)\n[2]", "A = [1]]",
+    # literals at the edges of what the fast path reads
+    "A = ([[1], [2]] over (a, b))", "A = index{a}([1, 2] over (a), [1] over (b))",
+    "A = [1.]", "A = []", "A = [[]] over (a, b)", "A = [[1], [2, 3]] over (a, b)",
+    "A = [[1, 2], [3, 4]] over (a, a)", "A = [1, - 2, -\n3, - inf] over (a)",
+    "A = " + "(" * 98 + "[[1]] over (a, b)" + ")" * 98,
+    "A = " + "(" * 99 + "[[1]] over (a, b)" + ")" * 99,
+    "A = " + "[" * (_MAX_DIMS + 1) + "1" + "]" * (_MAX_DIMS + 1) + " over (a)",
+])
+def test_edge_literals_read_as_the_token_path(source):
+    _assert_paths_agree(source)
 
 
 def test_parse_examples():

@@ -38,10 +38,34 @@ def test_token_kinds():
     assert [(t.kind, t.text) for t in tokenize(source)] == [
         ("IDENT", "X'"), ("=", "="), ("IDENT", "sum"), ("{", "{"),
         ("IDENT", "a"), ("}", "}"), ("(", "("), ("IDENT", "Y"), (".{", ".{"),
-        ("IDENT", "b"), ("}", "}"), ("[", "["), ("NUMBER", "1.5e3"), (",", ","),
-        ("-", "-"), ("IDENT", "inf"), ("]", "]"), ("IDENT", "over"), ("(", "("),
-        ("IDENT", "b"), (")", ")"), (")", ")"), ("->", "->"), ("EOF", ""),
+        ("IDENT", "b"), ("}", "}"), ("LITERAL", "[1.5e3, -inf]"), ("IDENT", "over"),
+        ("(", "("), ("IDENT", "b"), (")", ")"), (")", ")"), ("->", "->"), ("EOF", ""),
     ]
+
+
+@pytest.mark.parametrize("source, kinds", [
+    # a comment, a "+" or an identifier before the balancing "]"
+    ("[1, # c\n 2]", ["[", "NUMBER", ",", "NUMBER", "]"]),
+    ("[+1]", ["[", "+", "NUMBER", "]"]),
+    ("[1 e 5]", ["[", "NUMBER", "IDENT", "NUMBER", "]"]),
+    ("[inf1]", ["[", "IDENT", "]"]),
+    # no balancing "]": the outer "[" is a symbol, the inner one a literal
+    ("[[1]->", ["[", "LITERAL", "->"]),
+    ("X[a->b]", ["IDENT", "[", "IDENT", "->", "IDENT", "]"]),
+    # a literal ends at its balancing "]"
+    ("[1] , [2]]", ["LITERAL", ",", "LITERAL", "]"]),
+    ("[[1, -\n 2], [inf, 3]] over", ["LITERAL", "IDENT"]),
+])
+def test_literal_tokens_end_at_the_balancing_bracket(source, kinds):
+    tokens = tokenize(source)
+    assert [t.kind for t in tokens] == kinds + ["EOF"]
+    fine = tokenize(source, literals=False)
+    for tok in tokens:
+        if tok.kind == "LITERAL":  # it spans exactly the tokens it re-lexes to
+            spanned = [t for t in fine if tok.offset <= t.offset < tok.offset + len(tok.text)]
+            assert [(t.kind, t.text, t.offset - tok.offset) for t in spanned] == [
+                (t.kind, t.text, t.offset) for t in tokenize(tok.text, literals=False)[:-1]
+            ]
 
 
 @pytest.mark.parametrize("source, line, col, char", [

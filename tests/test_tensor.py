@@ -67,7 +67,11 @@ def test_from_entries_missing_and_duplicates():
     ([[1, 2], [3]], ["a", "b"], ShapeMismatch, "ragged tensor literal: "),
     (["a", "b"], ["x"], TypeError, "tensor literal entry 'a' is not a number"),
     ([[1, "x"], [2, 3]], ["a", "b"], TypeError, "tensor literal entry 'x' is not a number"),
-], ids=["ragged", "over_deep", "under_deep", "ragged_ints", "strings", "one_string"])
+    ([None, "1.5"], ["a"], TypeError, "tensor literal entry None is not a number"),
+    ([1.0, "1.5"], ["a"], TypeError, "tensor literal entry '1.5' is not a number"),
+    ([[1.0, 2.0], [3.0, None]], ["a", "b"], TypeError, "tensor literal entry None is not a number"),
+], ids=["ragged", "over_deep", "under_deep", "ragged_ints", "strings", "one_string",
+        "none", "numeric_string", "nested_none"])
 def test_from_nested_rejects_malformed_nesting(values, names, error, message):
     """Malformed nesting is a shape error; in a regular literal, an entry
     that is not a number is a type error naming it, as in ``as_tensor``."""
