@@ -42,7 +42,13 @@ Subgradient conventions: ``relu`` has slope 0 at the origin; max/min
 reductions send all mass to the first extremum in record-enumeration order;
 ``argmax``/``argmin``/``argmaxk`` and index arguments are treated as
 constants; ``maxk`` differentiates through the selected positions.
-Differentiating through ``det``/``inv`` is unsupported and raises.
+Differentiating through ``det``/``inv`` is unsupported: it raises when
+one lies on a path from the output to the variable, and a ``det`` or
+``inv`` of values that do not depend on the variable is a constant.
+
+The backward pass builds cotangents only for nodes that depend on the
+variable (activity analysis), so the cotangents of weights, masks and
+other constant operands are never computed.
 """
 
 from __future__ import annotations
@@ -178,7 +184,10 @@ class Expr:
         args = self._args(child_values[0].shape, ctx)
         return getattr(ops, self.kernel)(*child_values, *args)
 
-    def _grads(self, g: NamedTensor, child_values, value: NamedTensor, ctx: Context):
+    def _grads(self, g: NamedTensor, child_values, value: NamedTensor, ctx: Context,
+               need: Sequence[bool]):
+        """The cotangent of each operand, or None; ``need`` flags the
+        operands that depend on the variable, and only those are used."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -340,7 +349,7 @@ class Unary(Expr):
     def _infer(self, child_shapes, ctx, env):
         return child_shapes[0]
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         y = value
         if self.op == "neg":
@@ -363,20 +372,22 @@ class Binary(Expr):
     a: Expr
     b: Expr
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         a, b = child_values
+        da, db = need
         if self.op == "add":
             return (g, g)
         if self.op == "sub":
-            return (g, ops.neg(g))
+            return (g, ops.neg(g) if db else None)
         if self.op == "mul":
-            return (ops.mul(g, b), ops.mul(g, a))
+            return (ops.mul(g, b) if da else None, ops.mul(g, a) if db else None)
         if self.op == "div":
-            return (ops.div(g, b), ops.neg(ops.div(ops.mul(g, value), b)))
+            return (ops.div(g, b) if da else None,
+                    ops.neg(ops.div(ops.mul(g, value), b)) if db else None)
         # pow: d/da = b * a**(b-1), d/db = value * log(a)
         return (
-            ops.mul(g, ops.mul(b, ops.pow_(a, ops.sub(b, 1.0)))),
-            ops.mul(g, ops.mul(value, ops.log(a))),
+            ops.mul(g, ops.mul(b, ops.pow_(a, ops.sub(b, 1.0)))) if da else None,
+            ops.mul(g, ops.mul(value, ops.log(a))) if db else None,
         )
 
 
@@ -394,7 +405,7 @@ class Reduce(Expr):
             raise ValueError(f"unknown reduction {self.red!r}")
         super().__post_init__()
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         target = x.shape
         n = math.prod(target.size(a) for a in self.axes)
@@ -439,13 +450,14 @@ class Contract(Expr):
     b: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         a, b = child_values
         sa, sb = a.shape, b.shape
+        da, db = need
         # each side sums the other operand's own axes, so _fit has none left
         return (
-            ops.contract(g, b, [n for n in sb.names if n not in sa]),
-            ops.contract(g, a, [n for n in sa.names if n not in sb]),
+            ops.contract(g, b, [n for n in sb.names if n not in sa]) if da else None,
+            ops.contract(g, a, [n for n in sa.names if n not in sb]) if db else None,
         )
 
 
@@ -454,7 +466,7 @@ class Softmax(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         y = value
         inner = ops.contract(g, y, self.axes)
         return (ops.mul(y, ops.sub(g, inner)),)
@@ -467,7 +479,7 @@ class ArgExtremum(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         return (None,)
 
 
@@ -476,7 +488,7 @@ class Standardize(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         n = float(math.prod(x.shape.size(a) for a in self.axes))
         q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), ops.EPS))
@@ -499,7 +511,7 @@ class Rename(Expr):
     old: str
     new: str
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         return (ops.rename(g, self.new, self.old),)
 
 
@@ -515,7 +527,7 @@ class Merge(Expr):
         size = math.prod(shape.size(p) for p in self.parts)
         return (self.parts, Axis(self.merged_name, size))
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         names = g.shape.names
         pos = names.index(self.merged_name)
@@ -543,7 +555,7 @@ class Split(Expr):
         outer = Axis(self.outer_name, n // inner)
         return (self.src, outer, Axis(self.inner_name, inner))
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         merged = Axis(self.src, x.shape.size(self.src))
         return (ops.merge_axes(g, [self.outer_name, self.inner_name], merged),)
@@ -560,7 +572,7 @@ class Unroll(Expr):
         size = ctx.size_of(self.kernel_name, self.kernel_size)
         return (self.seq, Axis(self.kernel_name, size))
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         # kernel offset j of every window reads input positions j+1 .. j+length
         rest = g.shape.drop([self.kernel_name, self.seq])
@@ -586,7 +598,7 @@ class IndexSelect(Expr):
     def _eval(self, child_values, ctx, env):
         return ops.index_select(child_values[0], self.ax, child_values[1])
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         a, idx = child_values
         n = a.shape.size(self.ax)
         onehot = NamedTensor.from_array(
@@ -611,7 +623,7 @@ class TopK(Expr):
     def _args(self, shape, ctx):
         return (self.ax, Axis(self.k_name, ctx.size_of(self.k_name, self.k_size)))
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         if self.which == "argmaxk":
             return (None,)
         (x,) = child_values
@@ -628,7 +640,7 @@ class LinAlg(Expr):
     rows: str
     cols: str
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         raise UnsupportedDerivative(
             f"differentiation through {self.which} is not supported"
         )
@@ -651,7 +663,7 @@ class PartialIndex(Expr):
         ops.partial_index_shape(child_values[0].shape, dict(self.bindings))
         return child_values[0].partial_index(Record(self.bindings))
 
-    def _grads(self, g, child_values, value, ctx):
+    def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
         for name, i in self.bindings:
             onehot = np.zeros(x.shape.size(name))
@@ -880,27 +892,39 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
     Every VJP rule must broadcast over axes it does not name, so they ride
     through each rule untouched and the result has shape ``var_shape ∪
     probes``: one pass pulls back a whole batch of cotangents at once.
+
+    Only nodes that depend on ``wrt`` (the active ones) get a cotangent:
+    each rule is told which of its operands are active and builds no
+    cotangent for the others.
     """
+    active = set()
+    for node in order:
+        if isinstance(node, Var):
+            live = node.name == wrt
+        else:
+            live = any(id(c) in active for c in node.children())
+        if live:
+            active.add(id(node))
     cots: Dict[int, NamedTensor] = {id(root): cotangent}
     total: Optional[NamedTensor] = None
     with np.errstate(all="ignore"):  # VJP rules follow IEEE, as the kernels do
         for node in reversed(order):
+            if id(node) not in active:
+                continue
             g = cots.pop(id(node), None)
             if g is None:
                 continue
             if isinstance(node, Var):
-                if node.name == wrt:
-                    total = g if total is None else ops.add(total, g)
-                continue
-            if not node.children():
+                total = g if total is None else ops.add(total, g)
                 continue
             kids = [vals[id(c)] for c in node.children()]
+            need = [id(c) in active for c in node.children()]
             try:
-                grads = node._grads(g, kids, vals[id(node)], ctx)
+                grads = node._grads(g, kids, vals[id(node)], ctx, need)
             except NamedTensorError as err:
                 raise ExprError(node, err) from err
-            for child, kid, cg in zip(node.children(), kids, grads):
-                if cg is None:
+            for child, kid, cg, needed in zip(node.children(), kids, grads, need):
+                if cg is None or not needed:
                     continue
                 cg = _fit(cg, kid.shape, probes)
                 prev = cots.get(id(child))

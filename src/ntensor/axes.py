@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+'*\Z")
+_NAME = operator.attrgetter("name")  # sort key of axes
 
 
 def check_axis_name(name: str) -> str:
@@ -76,9 +78,13 @@ AxisLike = Union[Axis, tuple]
 
 
 class Shape:
-    """An immutable set of axes with pairwise-distinct names."""
+    """An immutable set of axes with pairwise-distinct names.
 
-    __slots__ = ("_axes", "_sizes")
+    ``names`` and ``sizes`` are the axis names and sizes in canonical
+    (sorted) order, as tuples.
+    """
+
+    __slots__ = ("_axes", "_sizes", "names", "sizes")
 
     def __init__(self, axes: Iterable[AxisLike] = ()):
         items = []
@@ -86,14 +92,25 @@ class Shape:
             if not isinstance(ax, Axis):
                 ax = Axis(*ax)
             items.append(ax)
-        items.sort(key=lambda ax: ax.name)
-        sizes = {}
-        for ax in items:
-            if ax.name in sizes:
+        items.sort(key=_NAME)
+        for prev, ax in zip(items, items[1:]):
+            if prev.name == ax.name:
                 raise ValueError(f"duplicate axis name in shape: {ax.name!r}")
-            sizes[ax.name] = ax.size
-        object.__setattr__(self, "_axes", tuple(items))
-        object.__setattr__(self, "_sizes", sizes)
+        self._set(tuple(items))
+
+    def _set(self, axes: tuple) -> None:
+        self._axes = axes
+        self._sizes = {ax.name: ax.size for ax in axes}
+        self.names = tuple(self._sizes)
+        self.sizes = tuple(self._sizes.values())
+
+    @classmethod
+    def _trusted(cls, axes: tuple) -> "Shape":
+        """A shape of ``axes``, already sorted by name, with distinct names,
+        each an :class:`Axis` (so already validated); nothing is checked."""
+        shape = object.__new__(cls)
+        shape._set(axes)
+        return shape
 
     @classmethod
     def of(cls, **sizes: int) -> "Shape":
@@ -101,16 +118,6 @@ class Shape:
         return cls(Axis(name, size) for name, size in sizes.items())
 
     # -- basic views ------------------------------------------------------
-
-    @property
-    def names(self) -> tuple:
-        """Axis names in canonical (sorted) order."""
-        return tuple(ax.name for ax in self._axes)
-
-    @property
-    def sizes(self) -> tuple:
-        """Axis sizes in canonical order."""
-        return tuple(ax.size for ax in self._axes)
 
     @property
     def axes(self) -> tuple:
@@ -158,17 +165,29 @@ class Shape:
         return not any(name in other._sizes for name in self._sizes)
 
     def union(self, other: "Shape") -> "Shape":
-        """Set union of axes; raises :class:`IncompatibleShapes` on size conflicts."""
-        if not self.compatible(other):
-            raise IncompatibleShapes(f"incompatible shapes {self} and {other}")
-        merged = dict(self._sizes)
-        merged.update(other._sizes)
-        return Shape(Axis(n, s) for n, s in merged.items())
+        """Set union of axes; raises :class:`IncompatibleShapes` on size conflicts.
+
+        An operand that already covers the other is returned as it is.
+        """
+        mine = self._sizes
+        extra = []
+        for ax in other._axes:
+            size = mine.get(ax.name)
+            if size is None:
+                extra.append(ax)
+            elif size != ax.size:
+                raise IncompatibleShapes(f"incompatible shapes {self} and {other}")
+        if not extra:
+            return self
+        if len(other._axes) - len(extra) == len(self._axes):
+            return other
+        return Shape._trusted(tuple(sorted(self._axes + tuple(extra), key=_NAME)))
 
     def drop(self, names: Iterable[str]) -> "Shape":
         """The shape with the given names removed (absent names are ignored)."""
         dropped = set(names)
-        return Shape(ax for ax in self._axes if ax.name not in dropped)
+        kept = tuple([ax for ax in self._axes if ax.name not in dropped])
+        return self if len(kept) == len(self._axes) else Shape._trusted(kept)
 
     def keep(self, names: Iterable[str]) -> "Shape":
         """The sub-shape on exactly the given names; all must be present."""

@@ -65,10 +65,9 @@ def check(program: Program) -> List[Diagnostic]:
                 report(st.span, f"'{st.name}' is already defined")
                 continue
             defined.add(st.name)
-            refs = [
-                n.name for n in ad._topo(st.expr) if isinstance(n, ad.Var)
-            ]
-            if any(r in poisoned for r in refs):
+            if poisoned and any(
+                isinstance(n, ad.Var) and n.name in poisoned for n in ad._topo(st.expr)
+            ):
                 poisoned.add(st.name)
                 continue
             try:

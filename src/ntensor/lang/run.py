@@ -47,6 +47,7 @@ def _drawn(program: Program, seed: int) -> Iterator[Tuple[object, Optional[ad.Ex
     """Each statement with, for a binding, its expression with every random
     literal replaced by a constant drawn from the seeded stream."""
     rng = SplitMix64(seed)
+    sizes = program.axis_sizes
     memo: dict = {}
     for st in program.statements:
         if not isinstance(st, Binding):
@@ -56,19 +57,20 @@ def _drawn(program: Program, seed: int) -> Iterator[Tuple[object, Optional[ad.Ex
         # Reversed _topo order visits a tree depth-first, left to right.
         for node in reversed(order):
             if isinstance(node, ad.RandomLiteral) and id(node) not in memo:
-                memo[id(node)] = _draw(node, rng, program.axis_sizes)
-        yield st, ad._rebuild(order, memo)
+                memo[id(node)] = _draw(node, rng, sizes)
+        # a binding that reads no drawn node is its own expression
+        drawn = any(id(node) in memo for node in order)
+        yield st, ad._rebuild(order, memo) if drawn else st.expr
 
 
 def run_program(program: Program, seed: int = 0) -> ProgramRun:
     """Evaluate every binding in order; assumes the program checked clean."""
     run = ProgramRun()
+    sizes = program.axis_sizes
     for st, expr in _drawn(program, seed):
         if isinstance(st, Binding):
             try:
-                run.env[st.name] = ad.evaluate(
-                    expr, run.env, axis_sizes=program.axis_sizes
-                )
+                run.env[st.name] = ad.evaluate(expr, run.env, axis_sizes=sizes)
             except ad.ExprError as err:
                 span = err.node.span or st.span
                 raise RunError(span[0], span[1], str(err.error)) from err

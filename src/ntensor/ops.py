@@ -53,14 +53,17 @@ PIVOT_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 # alignment helpers
 
-def _aligned(t: NamedTensor, target: Shape) -> np.ndarray:
-    """A read-only view of ``t`` broadcast to ``target``'s canonical layout.
+def _expanded(t: NamedTensor, target: Shape) -> np.ndarray:
+    """A read-only view of ``t`` laid out in ``target``'s canonical order,
+    with size 1 on the axes ``t`` lacks, so numpy broadcasts it to ``target``.
 
     Requires ``t.shape ⊆ target`` (same sizes on shared names); because both
     name tuples are sorted, ``t``'s names form a subsequence of the target's.
     """
     arr = t.array
     tnames = t.shape.names
+    if len(tnames) == len(target.names):
+        return arr
     dims = []
     i = 0
     for name in target.names:
@@ -69,7 +72,12 @@ def _aligned(t: NamedTensor, target: Shape) -> np.ndarray:
             i += 1
         else:
             dims.append(1)
-    return np.broadcast_to(arr.reshape(dims), target.sizes)
+    return arr.reshape(dims)
+
+
+def _aligned(t: NamedTensor, target: Shape) -> np.ndarray:
+    """A read-only view of ``t`` broadcast to ``target``'s canonical layout."""
+    return np.broadcast_to(_expanded(t, target), target.sizes)
 
 
 def _axis_positions(shape: Shape, axes: Sequence[str]) -> tuple:
@@ -97,7 +105,7 @@ def _binary(op: Callable, a, b) -> NamedTensor:
     a, b = as_tensor(a), as_tensor(b)
     out = binary_shape(a.shape, b.shape)
     with np.errstate(all="ignore"):
-        return NamedTensor(out, op(_aligned(a, out), _aligned(b, out)))
+        return NamedTensor._own(out, op(_expanded(a, out), _expanded(b, out)))
 
 
 def add(a, b) -> NamedTensor:
@@ -124,7 +132,7 @@ def pow_(a, b) -> NamedTensor:
 def _unary(f: Callable, a) -> NamedTensor:
     a = as_tensor(a)
     with np.errstate(all="ignore"):
-        return NamedTensor(a.shape, f(a.array))
+        return NamedTensor._own(a.shape, f(a.array))
 
 
 def neg(a) -> NamedTensor:
@@ -176,9 +184,9 @@ def reduce(a, kind: str, axes: Sequence[str]) -> NamedTensor:
     out_shape = reduce_shape(a.shape, kind, axes)
     if not axes:
         if kind == "var":
-            return NamedTensor(a.shape, np.zeros(a.shape.sizes))
+            return NamedTensor._own(a.shape, np.zeros(a.shape.sizes))
         if kind == "norm":
-            return NamedTensor(a.shape, np.abs(a.array))
+            return NamedTensor._own(a.shape, np.abs(a.array))
         return a
     pos = _axis_positions(a.shape, axes)
     arr = a.array
@@ -195,7 +203,7 @@ def reduce(a, kind: str, axes: Sequence[str]) -> NamedTensor:
             out = arr.var(axis=pos)
         else:  # norm
             out = np.sqrt((arr * arr).sum(axis=pos))
-    return NamedTensor(out_shape, out)
+    return NamedTensor._own(out_shape, out)
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +234,34 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
     if not axes:
         return _binary(np.multiply, a, b)
     summed = set(axes)
-    sa, sb = a.shape, b.shape
+    in_a, in_b = set(a.shape.names), set(b.shape.names)
     with np.errstate(all="ignore"):
-        x, xn = _sum_alone(a, sb, summed)
-        y, yn = _sum_alone(b, sa, summed)
-        batch = [n for n in xn if n in sb and n not in summed]
+        x, xn = _sum_alone(a, in_b, summed)
+        y, yn = _sum_alone(b, in_a, summed)
+        batch = [n for n in xn if n in in_b and n not in summed]
         inner = [n for n in xn if n in summed]
-        free_a = [n for n in xn if n not in sb]
-        free_b = [n for n in yn if n not in sa]
-        nb, nk = _size(sa, batch), _size(sa, inner)
+        free_a = [n for n in xn if n not in in_b]
+        free_b = [n for n in yn if n not in in_a]
         x = x.transpose([xn.index(n) for n in batch + free_a + inner])
         y = y.transpose([yn.index(n) for n in batch + inner + free_b])
+        lead = x.shape[: len(batch) + len(free_a)]  # (batch, free in a) sizes
+        nb, nk = math.prod(lead[: len(batch)]), math.prod(x.shape[len(lead):])
         with one_thread():
-            prod = np.matmul(x.reshape(nb, _size(sa, free_a), nk),
-                             y.reshape(nb, nk, _size(sb, free_b)))
+            prod = np.matmul(x.reshape(nb, -1, nk), y.reshape(nb, nk, -1))
     names = batch + free_a + free_b
     order = sorted(range(len(names)), key=names.__getitem__)
-    dims = [out_shape.size(n) for n in names]
-    return NamedTensor(out_shape, prod.reshape(dims).transpose(order))
+    dims = lead + y.shape[len(batch) + len(inner):]
+    return NamedTensor._own(out_shape, prod.reshape(dims).transpose(order))
 
 
-def _sum_alone(t: NamedTensor, other: Shape, summed: set) -> tuple:
-    """``t``'s array with the summed axes ``other`` lacks summed out, and
-    the names of its remaining dimensions."""
+def _sum_alone(t: NamedTensor, other: set, summed: set) -> tuple:
+    """``t``'s array with the summed axes missing from the names ``other``
+    summed out, and the names of its remaining dimensions."""
     names = t.shape.names
     alone = tuple(i for i, n in enumerate(names) if n in summed and n not in other)
     if not alone:
         return t.array, names
     return t.array.sum(axis=alone), tuple(n for n in names if n not in summed or n in other)
-
-
-def _size(shape: Shape, names) -> int:
-    return math.prod([shape.size(n) for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +289,7 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
         raise AllMasked(f"softmax over {list(axes)}: a fiber is entirely -inf")
     with np.errstate(all="ignore"):
         e = np.exp(arr - m)
-        return NamedTensor(out_shape, e / e.sum(axis=pos, keepdims=True))
+        return NamedTensor._own(out_shape, e / e.sum(axis=pos, keepdims=True))
 
 
 def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
@@ -296,7 +300,7 @@ def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
     m = arr.min(axis=pos, keepdims=True) if minimize else arr.max(axis=pos, keepdims=True)
     mask = (arr == m).astype(np.float64)
     with np.errstate(invalid="ignore"):  # a NaN fiber has no extremum: 0/0
-        return NamedTensor(out_shape, mask / mask.sum(axis=pos, keepdims=True))
+        return NamedTensor._own(out_shape, mask / mask.sum(axis=pos, keepdims=True))
 
 
 def argmax(a, axes: Sequence[str]) -> NamedTensor:
@@ -449,7 +453,7 @@ def index_select(a, ax: str, indices) -> NamedTensor:
     at = full.names.index(ax)
     pos = np.expand_dims((_aligned(idx, out_shape) - 1).astype(np.intp), at)
     out = np.take_along_axis(_aligned(a, full), pos, axis=at)
-    return NamedTensor(out_shape, out.squeeze(at))
+    return NamedTensor._own(out_shape, out.squeeze(at))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +594,7 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
 def det(a, rows: str, cols: str) -> NamedTensor:
     """Determinant of the matrix over (rows, cols), lifted over other axes."""
     a = as_tensor(a)
-    return NamedTensor(det_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[0])
+    return NamedTensor._own(det_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[0])
 
 
 def inv(a, rows: str, cols: str) -> NamedTensor:
@@ -601,7 +605,7 @@ def inv(a, rows: str, cols: str) -> NamedTensor:
     matrix; for symmetric input it is the plain inverse.
     """
     a = as_tensor(a)
-    return NamedTensor(inv_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[1])
+    return NamedTensor._own(inv_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +628,7 @@ def standardize(a, axes: Sequence[str]) -> NamedTensor:
     with np.errstate(all="ignore"):
         m = arr.mean(axis=pos, keepdims=True)
         v = arr.var(axis=pos, keepdims=True)
-        return NamedTensor(a.shape, (arr - m) / np.sqrt(v + EPS))
+        return NamedTensor._own(a.shape, (arr - m) / np.sqrt(v + EPS))
 
 
 # ---------------------------------------------------------------------------

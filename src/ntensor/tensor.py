@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .axes import Axis, Record, Shape
+from .axes import EMPTY_SHAPE, Axis, Record, Shape
 from .errors import (
     DuplicateEntry,
     InvalidRecord,
@@ -48,15 +48,31 @@ class NamedTensor:
         self._shape = shape
         self._array = array
 
+    @classmethod
+    def _own(cls, shape: Shape, array) -> "NamedTensor":
+        """Wrap a float64 array that the caller has just made and keeps no
+        reference to, without copying it; it is made C-contiguous only if
+        it is not, and marked read-only."""
+        array = np.asarray(array, order="C")
+        if array.shape != shape.sizes:
+            raise ShapeMismatch(
+                f"buffer of dimensions {array.shape} does not fill shape {shape}"
+            )
+        array.flags.writeable = False
+        t = object.__new__(cls)
+        t._shape = shape
+        t._array = array
+        return t
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def scalar(cls, value: float) -> "NamedTensor":
-        return cls(Shape(), np.asarray(float(value)))
+        return cls._own(EMPTY_SHAPE, np.array(float(value)))
 
     @classmethod
     def filled(cls, shape: Shape, value: float) -> "NamedTensor":
-        return cls(shape, np.full(shape.sizes, float(value)))
+        return cls._own(shape, np.full(shape.sizes, float(value)))
 
     @classmethod
     def zeros(cls, shape: Shape) -> "NamedTensor":
@@ -248,10 +264,10 @@ class NamedTensor:
                 f"{ax.name}={ax.size}" for ax in self._shape
             )
         lines = [header]
-        flat = self._array.reshape(-1)
+        flat = self._array.reshape(-1).tolist()
         row = self._shape.sizes[-1] if len(self._shape) else 1
-        for start in range(0, flat.size, row):
-            lines.append(" ".join(_FLOAT_FMT.format(v) for v in flat[start : start + row]))
+        for start in range(0, len(flat), row):
+            lines.append(" ".join(map(_FLOAT_FMT.format, flat[start : start + row])))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -7,6 +7,7 @@ evaluates it, and ``transformer_program`` prints them as a program.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -129,8 +130,7 @@ def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
     position.
     """
     depth = (len(params) - 1) // len(_LAYER_PARAMS)
-    bindings = transformer_bindings(depth)
-    names = {name for name, expr in bindings if isinstance(expr, ad.RandomLiteral)}
+    names, graph = _transformer_graph(depth)
     if set(params) != names:
         raise ValueError(
             f"transformer parameters must be named {sorted(names)}, got {sorted(params)}"
@@ -141,7 +141,17 @@ def transformer_lm(onehots, params: Mapping[str, NamedTensor]) -> NamedTensor:
         params, I=onehots,
         P=positional_encoding(seq_len, sizes["layer"]), M=causal_mask(seq_len),
     )
-    return ad.evaluate(ad.splice(bindings)["O"], env, axis_sizes=sizes)
+    return ad.evaluate(graph, env, axis_sizes=sizes)
+
+
+@functools.lru_cache(maxsize=8)
+def _transformer_graph(depth: int) -> Tuple[frozenset, ad.Expr]:
+    """The parameter names of ``transformer_bindings(depth)`` and its
+    spliced graph of ``O``, built once per depth; graphs are immutable, so
+    every call may share them."""
+    bindings = transformer_bindings(depth)
+    names = frozenset(name for name, expr in bindings if isinstance(expr, ad.RandomLiteral))
+    return names, ad.splice(bindings)["O"]
 
 
 def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,

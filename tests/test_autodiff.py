@@ -552,8 +552,32 @@ def test_kernels_are_looked_up_on_ops_at_call_time(monkeypatch):
     ad.evaluate(expr, env)
     assert calls == {"contract": 1, "softmax": 1}
     ad.vjp(expr, "X", env, NamedTensor.zeros(Shape.of(batch=2)))
-    # the forward contract, one per Contract operand and one in Softmax's VJP
-    assert calls == {"contract": 5, "softmax": 2}
+    # the forward contract, one for the operand X reaches (W's cotangent is
+    # never built) and one in Softmax's VJP
+    assert calls == {"contract": 4, "softmax": 2}
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, w: ad.contract(x, w, ["ax"]),
+    lambda x, w: x * w,
+], ids=["contract", "mul"])
+def test_vjp_builds_no_cotangent_for_a_constant_operand(build, monkeypatch):
+    calls = []
+    for name in ops.__all__:
+        if not name.endswith("_shape"):
+            def counting(*args, _name=name, _kernel=getattr(ops, name)):
+                calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(ops, name, counting)
+    expr = build(ad.var("X"), ad.const(_rand(6, ax=3)))
+    env = {"X": _rand(5, ax=3, batch=2)}
+    out = ad.evaluate(expr, env)
+    forward = list(calls)
+    grad = ad.vjp(expr, "X", env, NamedTensor.filled(out.shape, 1.0))
+    # the forward op again, then X's cotangent: nothing for the constant
+    assert calls[len(forward):] == forward * 2
+    assert grad.shape == env["X"].shape
 
 
 def test_unknown_reduction_raises_at_construction():

@@ -1,7 +1,7 @@
 """Names, axes, records, shapes: algebra and enumeration order."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ntensor import (
     Axis,
@@ -37,6 +37,13 @@ def test_axis_validation():
         Axis("", 3)
     with pytest.raises(ValueError):
         Axis("bad name", 3)
+    with pytest.raises(ValueError, match="invalid axis name"):
+        Axis("x y", 2)
+    # shapes validate the names they are given
+    with pytest.raises(ValueError, match="invalid axis name"):
+        Shape([("bad name", 2)])
+    with pytest.raises(ValueError, match="invalid axis name"):
+        Shape.of(**{"bad name": 2})
     with pytest.raises(ValueError):
         Axis("'leading", 3)
     with pytest.raises(ValueError):
@@ -64,6 +71,8 @@ def test_shape_basics():
         s.size("chans")
     with pytest.raises(ValueError):
         Shape([Axis("a", 2), Axis("a", 3)])
+    with pytest.raises(ValueError, match="duplicate axis name"):
+        Shape([("a", 2), Axis("a", 2)])
 
 
 def test_compatible_examples():
@@ -119,6 +128,31 @@ def test_symmetry_properties(s, t):
     assert orthogonal(s, t) == orthogonal(t, s)
     if orthogonal(s, t):
         assert compatible(s, t)
+
+
+def _assert_same_shape(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.names == want.names and got.sizes == want.sizes
+    assert tuple(got) == tuple(want) and got.num_records == want.num_records
+    assert all(got.size(n) == want.size(n) for n in want.names)
+    assert got.compatible(want) and want.compatible(got)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(shapes, shapes, st.lists(names, max_size=4))
+def test_union_and_drop_equal_the_validated_construction(s, t, dropped):
+    if not compatible(s, t):
+        with pytest.raises(IncompatibleShapes):
+            s.union(t)
+        t = Shape(Axis(ax.name, s.size(ax.name)) if ax.name in s else ax for ax in t)
+    validated = Shape([(ax.name, ax.size) for ax in s] +
+                      [(ax.name, ax.size) for ax in t if ax.name not in s])
+    _assert_same_shape(s.union(t), validated)
+    _assert_same_shape(t.union(s), validated)
+    _assert_same_shape(s.drop(dropped),
+                       Shape([(ax.name, ax.size) for ax in s if ax.name not in dropped]))
+    _assert_same_shape(s.union(t).drop(dropped).union(s.drop(dropped)),
+                       validated.drop(dropped))
 
 
 @given(shapes)

@@ -162,11 +162,34 @@ def test_grad_error_for_non_literal_wrt(capsys):
 
 
 def test_grad_error_carries_the_span_of_the_failing_node(capsys):
+    # the derivative in Sigma passes through inv{d1, d2}(Sigma) at 8:5
     program = str(CORPUS / "valid" / "mvn.nt")
-    assert main(["grad", program, "--of", "Density", "--wrt", "X"]) == 1
+    assert main(["grad", program, "--of", "Density", "--wrt", "Sigma"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "8:5: error: differentiation through inv is not supported\n"
+
+
+def test_grad_beside_constant_det_and_inv_matches_central_differences(capsys):
+    # det and inv read only Sigma, so the derivative in X never passes them
+    path = CORPUS / "valid" / "mvn.nt"
+    assert main(["grad", str(path), "--of", "Density", "--wrt", "X"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    got = NamedTensor.from_text(captured.out)
+    source = path.read_text()
+    x = [0.3, -0.2]
+    assert "X = [0.3, -0.2] over (d)" in source
+    for i in range(2):
+        h = 1e-6 * (1.0 + abs(x[i]))
+        outs = []
+        for delta in (h, -h):
+            bumped = list(x)
+            bumped[i] += delta
+            text = source.replace("X = [0.3, -0.2]", f"X = [{bumped[0]!r}, {bumped[1]!r}]")
+            outs.append(lang.evaluate_program(lang.parse(text))["Density"].item())
+        numeric = (outs[0] - outs[1]) / (2.0 * h)
+        assert abs(numeric - got.get({"d": i + 1})) <= 1e-6 * max(1.0, abs(numeric))
 
 
 def test_zoo_list_and_run(capsys):

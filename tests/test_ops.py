@@ -168,6 +168,29 @@ def test_contract_memory_is_bounded_by_operands_and_output():
     assert peak <= 4 * (a.array.nbytes + b.array.nbytes + out.array.nbytes)
 
 
+@pytest.mark.parametrize("op", ["add", "contract"])
+def test_op_result_is_owned_not_copied(op):
+    # a 0.5 MB output; a copy into the tensor would double the peak
+    rng = np.random.default_rng(11)
+    a = NamedTensor.from_array(rng.standard_normal((256, 256)), ["i", "k"])
+    if op == "add":
+        b = NamedTensor.from_array(rng.standard_normal(256), ["k"])
+        call = lambda: ops.add(a, b)  # noqa: E731
+    else:
+        b = NamedTensor.from_array(rng.standard_normal((256, 256)), ["k", "m"])
+        call = lambda: ops.contract(a, b, ["k"])  # noqa: E731
+    call()  # first-call allocations are not the op's
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.array.nbytes == 256 * 256 * 8
+    assert peak < 1.5 * out.array.nbytes
+    assert not out.array.flags.writeable
+
+
 def test_contract_runs_blas_on_one_thread(monkeypatch):
     # More BLAS threads make a call's time depend on other CPUs being idle
     # (see ntensor._blas).
