@@ -325,7 +325,7 @@ def _fit(g: NamedTensor, target: Shape, probes: Shape) -> NamedTensor:
     if extra:
         g = ops.reduce(g, "sum", extra)
     full = target.union(probes)
-    return g if g.shape == full else NamedTensor(full, _aligned(g, full))
+    return g if g.shape == full else NamedTensor._own(full, _aligned(g, full))
 
 
 def _fresh(name: str, taken: set) -> str:
@@ -355,7 +355,7 @@ class Unary(Expr):
         if self.op == "neg":
             return (ops.neg(g),)
         if self.op == "relu":
-            return (ops.mul(g, NamedTensor(x.shape, x.array > 0.0)),)
+            return (ops.mul(g, NamedTensor._own(x.shape, (x.array > 0.0).astype(float))),)
         if self.op == "sigma":
             return (ops.mul(ops.mul(g, y), ops.sub(1.0, y)),)
         if self.op == "exp":
@@ -424,7 +424,7 @@ class Reduce(Expr):
         else:  # max, min
             pos = tuple(target.names.index(a) for a in self.axes)
             local = _first_extremum_mask(x.array, pos, self.red == "min")
-        return (ops.mul(g, NamedTensor(target, local)),)
+        return (ops.mul(g, NamedTensor._own(target, local)),)
 
 
 def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndarray:
@@ -529,13 +529,11 @@ class Merge(Expr):
 
     def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values
-        names = g.shape.names
-        pos = names.index(self.merged_name)
-        dims = list(g.shape.sizes)
-        dims[pos : pos + 1] = [x.shape.size(p) for p in self.parts]
-        new_names = list(names)
-        new_names[pos : pos + 1] = list(self.parts)
-        return (NamedTensor.from_array(g.array.reshape(dims), new_names),)
+        at = g.shape.names.index(self.merged_name)
+        names = g.shape.names[:at] + self.parts + g.shape.names[at + 1 :]
+        dims = g.shape.sizes[:at] + tuple(map(x.shape.size, self.parts)) + g.shape.sizes[at + 1 :]
+        shape = g.shape.drop([self.merged_name]).union(x.shape.keep(self.parts))
+        return (NamedTensor._own(shape, g.array.reshape(dims), names),)
 
 
 class Split(Expr):
@@ -584,7 +582,7 @@ class Unroll(Expr):
             sl = [slice(None)] * out.ndim
             sl[seq_pos] = slice(j, j + length)
             out[tuple(sl)] += g.partial_index({self.kernel_name: j + 1}).array
-        return (NamedTensor(shape, out),)
+        return (NamedTensor._own(shape, out),)
 
 
 class IndexSelect(Expr):
@@ -601,8 +599,9 @@ class IndexSelect(Expr):
     def _grads(self, g, child_values, value, ctx, need):
         a, idx = child_values
         n = a.shape.size(self.ax)
-        onehot = NamedTensor.from_array(
-            idx.array[..., None] == np.arange(1.0, n + 1.0),
+        onehot = NamedTensor._own(
+            idx.shape.union(a.shape.keep([self.ax])),
+            (idx.array[..., None] == np.arange(1.0, n + 1.0)).astype(float),
             idx.shape.names + (self.ax,),
         )
         idx_only = [name for name in idx.shape.names if name not in a.shape]
@@ -668,7 +667,7 @@ class PartialIndex(Expr):
         for name, i in self.bindings:
             onehot = np.zeros(x.shape.size(name))
             onehot[i - 1] = 1.0
-            g = ops.mul(g, NamedTensor.from_array(onehot, [name]))
+            g = ops.mul(g, NamedTensor._own(x.shape.keep([name]), onehot))
         return (g,)
 
 
@@ -987,11 +986,9 @@ def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     rename_map = {n: _fresh(n, taken) for n in out_shape.names if n in var_shape}
     taken.update(n for v in vals.values() for n in v.shape.names)
     probe = {n: _fresh(n, taken) for n in out_shape.names}
-    seed = NamedTensor.from_array(
-        np.eye(out_shape.num_records).reshape(out_shape.sizes * 2),
-        out_shape.names + tuple(probe.values()),
-    )
-    probes = seed.shape.drop(out_shape.names)
+    probes = Shape(Axis(p, out_shape.size(n)) for n, p in probe.items())
+    eye = np.eye(out_shape.num_records).reshape(out_shape.sizes * 2)
+    seed = NamedTensor._own(out_shape.union(probes), eye, out_shape.names + tuple(probe.values()))
     total = _backward(order, vals, e, seed, wrt, var_shape, ctx, probes)
     public = {p: rename_map.get(n, n) for n, p in probe.items()}
     return Derivative(ops.rename_many(total, public), rename_map)
@@ -1037,7 +1034,7 @@ def lifted_derivative_check(
     rng = SplitMix64(seed)
     full_shape = base_shape.union(extension)
     data = rng.floats(full_shape.num_records).reshape(full_shape.sizes)
-    x_full = NamedTensor(full_shape, data)
+    x_full = NamedTensor._own(full_shape, data)
     body = build(Var("x"))
     base_out = infer_shape(body, {"x": base_shape})  # raises if it names an extension axis
     full = jacobian(body, "x", {"x": x_full})

@@ -24,6 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import IncompatibleShapes, InvalidRecord, MissingAxis
@@ -53,6 +54,14 @@ def check_axis_name(name: str) -> str:
     return name
 
 
+def _as_int(value):
+    """An integer other than a bool (a numpy integer, say) as a Python
+    ``int``; any other value as it is."""
+    if type(value) is int or isinstance(value, bool) or not isinstance(value, Integral):
+        return value
+    return int(value)
+
+
 def prime(name: str) -> str:
     """Return ``name`` with one more trailing prime mark."""
     return name + "'"
@@ -67,6 +76,8 @@ class Axis:
 
     def __post_init__(self):
         check_axis_name(self.name)
+        if type(self.size) is not int:
+            object.__setattr__(self, "size", _as_int(self.size))
         if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
             raise ValueError(f"axis size must be a positive integer, got {self.size!r}")
 
@@ -224,12 +235,13 @@ class Record:
         seen = {}
         for name, idx in items:
             check_axis_name(name)
+            idx = _as_int(idx)
             if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
                 raise InvalidRecord(f"index for {name!r} must be a positive integer, got {idx!r}")
             if name in seen:
                 raise InvalidRecord(f"duplicate axis name in record: {name!r}")
             seen[name] = idx
-        self._bindings = items
+        self._bindings = tuple(seen.items())
 
     @classmethod
     def of(cls, **indices: int) -> "Record":

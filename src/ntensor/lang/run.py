@@ -13,11 +13,11 @@ into one graph (``ad.splice``), so it evaluates only what the target reads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import autodiff as ad
+from ..axes import Shape
 from ..errors import NamedTensorError
 from ..rng import SplitMix64
 from ..tensor import NamedTensor
@@ -29,8 +29,9 @@ __all__ = ["run_program", "evaluate_program", "grad_program", "ProgramRun"]
 
 def _draw(node: ad.RandomLiteral, rng: SplitMix64, axis_sizes) -> ad.Expr:
     sizes = [axis_sizes[n] for n in node.axis_names]
-    arr = rng.floats(math.prod(sizes)).reshape(sizes)
-    out = ad.Const(NamedTensor.from_array(arr, node.axis_names))
+    shape = Shape(zip(node.axis_names, sizes))
+    arr = rng.floats(shape.num_records).reshape(sizes)
+    out = ad.Const(NamedTensor._own(shape, arr, node.axis_names))
     out.span = node.span
     return out
 

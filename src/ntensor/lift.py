@@ -175,9 +175,9 @@ def extend(f: TensorFunction, *args) -> NamedTensor:
     out = np.empty(joint.sizes + f.output_shape.sizes)
     for s in np.ndindex(*joint.sizes):
         out[s] = f(*(
-            NamedTensor(base, view[s]) for base, view in zip(f.input_shapes, views)
+            NamedTensor._own(base, view[s]) for base, view in zip(f.input_shapes, views)
         )).array
-    return NamedTensor.from_array(out, joint.names + f.output_shape.names)
+    return NamedTensor._own(joint.union(f.output_shape), out, joint.names + f.output_shape.names)
 
 
 def _extend_graph(f: TensorFunction, args, joint: Shape) -> NamedTensor:

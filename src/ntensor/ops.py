@@ -38,9 +38,9 @@ __all__ = [
     "reduce", "contract", "softmax", "argmax", "argmin",
     "rename", "rename_many", "merge_axes", "split_axis", "unroll",
     "index_select", "maxk", "argmaxk", "det", "inv", "standardize",
-    "identity", "partial_index_shape",
+    "identity", "identity_shape", "partial_index_shape",
     "binary_shape", "reduce_shape", "contract_shape", "softmax_shape",
-    "rename_shape", "merge_shape", "split_shape", "unroll_shape",
+    "rename_shape", "rename_many_shape", "merge_shape", "split_shape", "unroll_shape",
     "index_select_shape", "maxk_shape", "argmaxk_shape",
     "det_shape", "inv_shape", "standardize_shape",
 ]
@@ -248,10 +248,8 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
         nb, nk = math.prod(lead[: len(batch)]), math.prod(x.shape[len(lead):])
         with one_thread():
             prod = np.matmul(x.reshape(nb, -1, nk), y.reshape(nb, nk, -1))
-    names = batch + free_a + free_b
-    order = sorted(range(len(names)), key=names.__getitem__)
     dims = lead + y.shape[len(batch) + len(inner):]
-    return NamedTensor._own(out_shape, prod.reshape(dims).transpose(order))
+    return NamedTensor._own(out_shape, prod.reshape(dims), batch + free_a + free_b)
 
 
 def _sum_alone(t: NamedTensor, other: set, summed: set) -> tuple:
@@ -326,21 +324,24 @@ def rename_shape(s: Shape, old: str, new: str) -> Shape:
 def rename(a, old: str, new: str) -> NamedTensor:
     """Relabel one axis; values are untouched."""
     a = as_tensor(a)
-    rename_shape(a.shape, old, new)
-    names = [new if n == old else n for n in a.shape.names]
-    return NamedTensor.from_array(a.array, names)
+    out = rename_shape(a.shape, old, new)
+    return NamedTensor._own(out, a.array, [new if n == old else n for n in a.shape.names])
+
+
+def rename_many_shape(s: Shape, mapping: Mapping[str, str]) -> Shape:
+    new_names = [mapping.get(n, n) for n in s.names]
+    if len(set(new_names)) != len(new_names):
+        raise NameCollision(f"renaming {dict(mapping)} collides on {s}")
+    for old in mapping:
+        s.size(old)  # raises MissingAxis
+    return Shape(Axis(n, size) for n, size in zip(new_names, s.sizes))
 
 
 def rename_many(a, mapping: Mapping[str, str]) -> NamedTensor:
     """Relabel several axes at once; new names must be fresh as a set."""
     a = as_tensor(a)
-    names = list(a.shape.names)
-    new_names = [mapping.get(n, n) for n in names]
-    if len(set(new_names)) != len(new_names):
-        raise NameCollision(f"renaming {dict(mapping)} collides on {a.shape}")
-    for old in mapping:
-        a.shape.size(old)  # raises MissingAxis
-    return NamedTensor.from_array(a.array, new_names)
+    out = rename_many_shape(a.shape, mapping)
+    return NamedTensor._own(out, a.array, [mapping.get(n, n) for n in a.shape.names])
 
 
 def merge_shape(s: Shape, parts: Sequence[str], merged: Axis) -> Shape:
@@ -365,13 +366,13 @@ def merge_axes(a, parts: Sequence[str], merged: Axis) -> NamedTensor:
     inner], src_axis)`` is the identity.
     """
     a = as_tensor(a)
-    merge_shape(a.shape, parts, merged)
+    out = merge_shape(a.shape, parts, merged)
     names = a.shape.names
     kept = [n for n in names if n not in parts]
     perm = [names.index(n) for n in kept] + [names.index(p) for p in parts]
     arr = a.array.transpose(perm)
     arr = arr.reshape([a.shape.size(n) for n in kept] + [merged.size])
-    return NamedTensor.from_array(arr, kept + [merged.name])
+    return NamedTensor._own(out, arr, kept + [merged.name])
 
 
 def split_shape(s: Shape, src: str, outer: Axis, inner: Axis) -> Shape:
@@ -393,14 +394,11 @@ def split_axis(a, src: str, outer: Axis, inner: Axis) -> NamedTensor:
     pooling reshape.
     """
     a = as_tensor(a)
-    split_shape(a.shape, src, outer, inner)
-    names = a.shape.names
-    pos = names.index(src)
-    dims = list(a.shape.sizes)
-    dims[pos : pos + 1] = [outer.size, inner.size]
-    new_names = list(names)
-    new_names[pos : pos + 1] = [outer.name, inner.name]
-    return NamedTensor.from_array(a.array.reshape(dims), new_names)
+    out = split_shape(a.shape, src, outer, inner)
+    at = a.shape.names.index(src)
+    names = a.shape.names[:at] + (outer.name, inner.name) + a.shape.names[at + 1 :]
+    dims = a.shape.sizes[:at] + (outer.size, inner.size) + a.shape.sizes[at + 1 :]
+    return NamedTensor._own(out, a.array.reshape(dims), names)
 
 
 def unroll_shape(s: Shape, seq: str, kernel: Axis) -> Shape:
@@ -416,12 +414,12 @@ def unroll_shape(s: Shape, seq: str, kernel: Axis) -> Shape:
 def unroll(a, seq: str, kernel: Axis) -> NamedTensor:
     """Sliding windows: result[seq(i), kernel(j)] = a[seq(i + j - 1)]."""
     a = as_tensor(a)
-    unroll_shape(a.shape, seq, kernel)
+    out = unroll_shape(a.shape, seq, kernel)
     pos = a.shape.names.index(seq)
     windows = np.lib.stride_tricks.sliding_window_view(
         a.array, kernel.size, axis=pos
     )
-    return NamedTensor.from_array(windows, list(a.shape.names) + [kernel.name])
+    return NamedTensor._own(out, windows, a.shape.names + (kernel.name,))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +483,11 @@ def _top_order(a: NamedTensor, ax: str, k: Axis) -> np.ndarray:
 def maxk(a, ax: str, k: Axis) -> NamedTensor:
     """The k largest values along ``ax`` in descending order (duplicates kept)."""
     a = as_tensor(a)
-    maxk_shape(a.shape, ax, k)
+    out = maxk_shape(a.shape, ax, k)
     pos = a.shape.names.index(ax)
     top = _top_order(a, ax, k)
     vals = np.take_along_axis(a.array, top, axis=pos)
-    names = list(a.shape.names)
-    names[pos] = k.name
-    return NamedTensor.from_array(vals, names)
+    return NamedTensor._own(out, vals, [k.name if n == ax else n for n in a.shape.names])
 
 
 def argmaxk(a, ax: str, k: Axis) -> NamedTensor:
@@ -501,14 +497,14 @@ def argmaxk(a, ax: str, k: Axis) -> NamedTensor:
     [ax])`` equals ``maxk(a)``.
     """
     a = as_tensor(a)
-    argmaxk_shape(a.shape, ax, k)
+    out = argmaxk_shape(a.shape, ax, k)
     pos = a.shape.names.index(ax)
     top = _top_order(a, ax, k)
     onehot = np.zeros(a.array.shape + (k.size,))
     moved = np.moveaxis(onehot, pos, -2)
     ti = np.moveaxis(top, pos, -1)
     np.put_along_axis(moved, ti[..., None, :], 1.0, axis=-2)
-    return NamedTensor.from_array(onehot, list(a.shape.names) + [k.name])
+    return NamedTensor._own(out, onehot, a.shape.names + (k.name,))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +630,17 @@ def standardize(a, axes: Sequence[str]) -> NamedTensor:
 # ---------------------------------------------------------------------------
 # misc
 
-def identity(a: Axis, b: Axis) -> NamedTensor:
-    """The identity matrix I over two same-sized axes: 1 where indices agree."""
+def identity_shape(a: Axis, b: Axis) -> Shape:
     if a.size != b.size:
         raise SizeMismatch(f"identity axes {a!r} and {b!r} differ in size")
     if a.name == b.name:
         raise NameCollision(f"identity axes must have distinct names, got {a.name!r}")
-    return NamedTensor.from_array(np.eye(a.size), [a.name, b.name])
+    return Shape([a, b])
+
+
+def identity(a: Axis, b: Axis) -> NamedTensor:
+    """The identity matrix I over two same-sized axes: 1 where indices agree."""
+    return NamedTensor._own(identity_shape(a, b), np.eye(a.size), [a.name, b.name])
 
 
 def partial_index_shape(s: Shape, bindings: Mapping[str, int]) -> Shape:

@@ -6,9 +6,11 @@ are stored in one contiguous buffer whose dimensions follow the canonical
 are identical regardless of the order their axes were written in.  A tensor
 with the empty shape is interchangeable with a scalar.
 
-Tensors are immutable: every operation returns a fresh tensor and the
-underlying buffer is marked read-only, so values are safe to share across
-threads.
+Tensors are immutable: a result's buffer is marked read-only, so values are
+safe to share across threads, and may be its operand's own buffer (a
+relabelling or reshape whose layout is already canonical copies nothing).
+:meth:`NamedTensor.partial_index` copies its slice, so it never keeps a
+larger parent buffer alive.
 """
 
 from __future__ import annotations
@@ -39,29 +41,31 @@ class NamedTensor:
     __slots__ = ("_shape", "_array")
 
     def __init__(self, shape: Shape, array: np.ndarray):
-        array = np.array(array, dtype=np.float64, order="C")
+        self._set(shape, np.array(array, dtype=np.float64, order="C"))
+
+    def _set(self, shape: Shape, array: np.ndarray) -> None:
         if array.shape != shape.sizes:
             raise ShapeMismatch(
                 f"buffer of dimensions {array.shape} does not fill shape {shape}"
             )
         array.flags.writeable = False
-        self._shape = shape
-        self._array = array
+        self._shape, self._array = shape, array
 
     @classmethod
-    def _own(cls, shape: Shape, array) -> "NamedTensor":
-        """Wrap a float64 array that the caller has just made and keeps no
-        reference to, without copying it; it is made C-contiguous only if
-        it is not, and marked read-only."""
+    def _own(cls, shape: Shape, array, names: Sequence[str] | None = None) -> "NamedTensor":
+        """Wrap a float64 array the package made, which no one writes to
+        again, as a tensor of ``shape`` (the op's rule's result) without
+        copying it; ``names``, when given, label the array's dimensions,
+        which are transposed into canonical order.  The array is made
+        C-contiguous only if it is not, so it may stay a view of an
+        operand's read-only buffer, and is marked read-only."""
+        if names is not None and tuple(names) != shape.names:
+            array = array.transpose([names.index(n) for n in shape.names])
         array = np.asarray(array, order="C")
-        if array.shape != shape.sizes:
-            raise ShapeMismatch(
-                f"buffer of dimensions {array.shape} does not fill shape {shape}"
-            )
-        array.flags.writeable = False
+        if array.dtype != np.float64:
+            raise TypeError(f"tensor buffer must be float64, got {array.dtype}")
         t = object.__new__(cls)
-        t._shape = shape
-        t._array = array
+        t._set(shape, array)
         return t
 
     # -- constructors -----------------------------------------------------
@@ -104,7 +108,7 @@ class NamedTensor:
             missing = np.argwhere(~filled)[0]
             rec = Record({n: int(i) + 1 for n, i in zip(names, missing)})
             raise MissingEntry(f"no value supplied for record {rec}")
-        return cls(shape, arr)
+        return cls._own(shape, arr)
 
     @classmethod
     def from_nested(cls, values, axis_names: Sequence[str]) -> "NamedTensor":
@@ -198,7 +202,10 @@ class NamedTensor:
         return float(self._array[self._position(record)])
 
     def partial_index(self, record) -> "NamedTensor":
-        """Fix the axes named in ``record``; the result drops those axes."""
+        """Fix the axes named in ``record``; the result drops those axes.
+
+        Its values are copied, so a small result never keeps this tensor's
+        whole buffer alive."""
         record = Record(record)
         if not len(record):
             return self
@@ -215,7 +222,7 @@ class NamedTensor:
             else:
                 indexer.append(slice(None))
         rest = self._shape.drop(record.names)
-        return NamedTensor(rest, self._array[tuple(indexer)])
+        return NamedTensor._own(rest, self._array[tuple(indexer)].copy())
 
     def __getitem__(self, record):
         """Partial indexing by record; full records yield a scalar tensor."""
@@ -288,7 +295,7 @@ class NamedTensor:
             raise ValueError(
                 f"expected {shape.num_records} values for shape {shape}, got {len(values)}"
             )
-        return cls(shape, np.asarray(values).reshape(shape.sizes))
+        return cls._own(shape, np.asarray(values).reshape(shape.sizes))
 
     # -- operators (delegate to ops) ---------------------------------------
 

@@ -2,7 +2,10 @@
 printer must leave every corpus output byte-identical.
 
 Each digest is the sha256 of a command's exit code, standard output and
-standard error, taken before the lexer read a tensor literal as one token.
+standard error, taken before the lexer read a tensor literal as one token;
+the ``grad`` digests were taken before structural kernels and VJP rules
+wrapped their arrays with ``NamedTensor._own``.  A ``grad`` case names its
+program followed by its ``--of``/``--wrt`` options.
 To print the digests of the current code, run
 ``PYTHONPATH=src python tests/test_pins.py``.
 """
@@ -72,7 +75,38 @@ PINNED = {
     ("check", "inv15_undefined_print.nt", None): "fa9a4f1a9261c901a2f6b485593e973e90ae6094ad581af8dafc7ba986e77b32",
     ("check", "inv16_softmax_missing_axis.nt", None): "2e59b77480a94cd3dbec0fde764f48c709e88d2e69c24ee2d66d282673daaf85",
     ("eval", "transformer", 0): "92215a748cf5a40d370b71cd60271da1f8af4347541900cadf1651b6ae1c7f2e",
+    ("grad", "lenet.nt --of O --wrt X0", 0): "d07db37551a7f1f5d872e0e69db503f4b236213efde10fb39b87f9c13c578874",
+    ("grad", "lenet.nt --of O --wrt X0", 1): "9f8f5ec073cf3c1c450fec6ac11e5bedbf29d621c36bb7ae724844ebf248301d",
+    ("grad", "indexing.nt --of Sub --wrt P", 0): "fa950b8acdb6322942caf3e5a9dad2aa836a9191137b778784bfa92cc316af56",
+    ("grad", "indexing.nt --of Sub --wrt P", 1): "fa950b8acdb6322942caf3e5a9dad2aa836a9191137b778784bfa92cc316af56",
+    ("grad", "indexing.nt --of Embs --wrt E", 0): "c302e3f62cd572c2808a57db24e57057144b3752d674a69f761c46e41ec21459",
+    ("grad", "indexing.nt --of Embs --wrt E", 1): "c302e3f62cd572c2808a57db24e57057144b3752d674a69f761c46e41ec21459",
+    ("grad", "beam.nt --of NewH --wrt T", 0): "2fbc3115ca94824f319356aa20de1aef36c32638b10ed6bc2fe32d8b5a328533",
+    ("grad", "beam.nt --of NewH --wrt T", 1): "9e8bab2e83926a1769c49e0fcc17274b21d24149fb9e209a2c8a60e32bfce5da",
+    ("grad", "norms.nt --of GN --wrt X", 0): "fff380a7badc6f0a3e07edbb65adeea40df7546ab9bf1044f3287f4b946097cb",
+    ("grad", "norms.nt --of GN --wrt X", 1): "6a0c0b4efda9a099b8fe4dd1a393722de7ae7b00d255940e728c9fa8370a80e6",
+    ("grad", "matrix_basics.nt --of Row1 --wrt A", 0): "e8bbf455c67bbdb8117097f359b9586f661f306e5dd56a7ba79b8abc95c94068",
+    ("grad", "matrix_basics.nt --of Row1 --wrt A", 1): "e8bbf455c67bbdb8117097f359b9586f661f306e5dd56a7ba79b8abc95c94068",
+    ("grad", "conv1d.nt --of P --wrt Y", 0): "edbbbc657b50e4b96c5b5082a89a875c092667809f6c990c9773b790e26bc8de",
+    ("grad", "conv1d.nt --of P --wrt Y", 1): "92c9bb9e9ad727004e1a18e7146dbd4958c7d013db9513e08dba7bdd319dd664",
+    ("grad", "mvn.nt --of Density --wrt X", 0): "e78f3599ef9af8bc24d62442fa9798a72cb815bb57de29d3d1ce506334a64766",
+    ("grad", "mvn.nt --of Density --wrt X", 1): "e78f3599ef9af8bc24d62442fa9798a72cb815bb57de29d3d1ce506334a64766",
+    ("grad", "softmax_grad.nt --wrt X", 0): "5b069031149e503a965fd0d5a6ff884b4b689a5c87aac3479fe6d22207e96d45",
+    ("grad", "softmax_grad.nt --wrt X", 1): "5b069031149e503a965fd0d5a6ff884b4b689a5c87aac3479fe6d22207e96d45",
 }
+
+
+GRADS = (
+    "lenet.nt --of O --wrt X0",
+    "indexing.nt --of Sub --wrt P",
+    "indexing.nt --of Embs --wrt E",
+    "beam.nt --of NewH --wrt T",
+    "norms.nt --of GN --wrt X",
+    "matrix_basics.nt --of Row1 --wrt A",
+    "conv1d.nt --of P --wrt Y",
+    "mvn.nt --of Density --wrt X",
+    "softmax_grad.nt --wrt X",
+)
 
 
 def _cases():
@@ -82,17 +116,21 @@ def _cases():
     for path in sorted((CORPUS / "invalid").glob("*.nt")):
         yield "check", path.name, None
     yield "eval", "transformer", 0
+    for name in GRADS:
+        for seed in (0, 1):
+            yield "grad", name, seed
 
 
 def _digest(command: str, name: str, seed) -> str:
+    name, *options = name.split()
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if name == "transformer":
             path = Path(tmp) / "transformer.nt"
             path.write_text(transformer_program(**TRANSFORMER))
         else:
-            path = CORPUS / ("valid" if command == "eval" else "invalid") / name
-        argv = [command, str(path)] + ([] if seed is None else ["--seed", str(seed)])
+            path = CORPUS / ("invalid" if command == "check" else "valid") / name
+        argv = [command, str(path), *options] + ([] if seed is None else ["--seed", str(seed)])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     return hashlib.sha256(f"{code}\n{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
