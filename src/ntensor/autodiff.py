@@ -578,10 +578,12 @@ class Unroll(Expr):
         out = np.zeros(shape.sizes)
         seq_pos = shape.names.index(self.seq)
         length = g.shape.size(self.seq)
+        # g without the kernel axis has out's names, in out's canonical order
+        before_kernel = (slice(None),) * g.shape.names.index(self.kernel_name)
         for j in range(g.shape.size(self.kernel_name)):
             sl = [slice(None)] * out.ndim
             sl[seq_pos] = slice(j, j + length)
-            out[tuple(sl)] += g.partial_index({self.kernel_name: j + 1}).array
+            out[tuple(sl)] += g.array[before_kernel + (j,)]  # a view, not a copy
         return (NamedTensor._own(shape, out),)
 
 
@@ -646,21 +648,13 @@ class LinAlg(Expr):
 
 
 class PartialIndex(Expr):
+    kernel = "partial_index"
     child: Expr
-    bindings: tuple
+    bindings: Record
 
     def __post_init__(self):
-        items = self.bindings.items() if isinstance(self.bindings, Mapping) \
-            else self.bindings
-        self.bindings = tuple(sorted((str(n), int(i)) for n, i in items))
+        self.bindings = Record(self.bindings)
         super().__post_init__()
-
-    def _infer(self, child_shapes, ctx, env):
-        return ops.partial_index_shape(child_shapes[0], dict(self.bindings))
-
-    def _eval(self, child_values, ctx, env):
-        ops.partial_index_shape(child_values[0].shape, dict(self.bindings))
-        return child_values[0].partial_index(Record(self.bindings))
 
     def _grads(self, g, child_values, value, ctx, need):
         (x,) = child_values

@@ -226,12 +226,12 @@ class Record:
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Union[Mapping, Iterable] = ()):
-        if isinstance(bindings, Record):
-            items = bindings._bindings
-        else:
-            if isinstance(bindings, Mapping):
-                bindings = bindings.items()
-            items = tuple(sorted(bindings))
+        if isinstance(bindings, Record):  # already validated
+            self._bindings = bindings._bindings
+            return
+        if isinstance(bindings, Mapping):
+            bindings = bindings.items()
+        items = tuple(sorted(bindings))
         seen = {}
         for name, idx in items:
             check_axis_name(name)

@@ -305,7 +305,10 @@ class _Parser:
             idx = self.expect("NUMBER", "index")
             if not idx.text.isdigit():
                 raise ParseError(*self.at(idx), "index must be an integer")
-            return ad.PartialIndex(node, {name.text: int(idx.text)})
+            try:
+                return ad.PartialIndex(node, {name.text: int(idx.text)})
+            except NamedTensorError as e:  # an index of 0
+                raise ParseError(*self.at(idx), str(e)) from None
         raise ParseError(*self.at(nxt), "expected '->' or '=' in suffix")
 
     def atom(self) -> ad.Expr:

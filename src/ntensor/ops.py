@@ -5,10 +5,15 @@ extension: axes not consumed by the operation are carried through unchanged,
 slice by slice.  Binary operations broadcast along absent names only; a
 shared name must have the same size on both operands or the call fails.
 
-Each operation has a companion ``*_shape`` rule that validates operand
-shapes and returns the result shape without touching any values.  The rules
-are the single source of truth for the static shape checker, so a program
-that passes checking cannot fail at runtime for shape reasons.
+Each operation, partial indexing by a record included, is defined here
+once: its kernel and its companion shape rule, which validates operand
+shapes and returns the result shape without touching any values.  A rule
+is named after its operation (``merge_shape`` for ``merge_axes``); the
+binary ops share ``binary_shape``, ``argmax``/``argmin`` use
+``softmax_shape``, and the elementwise unary ops keep their operand's shape
+and need none.  The rules are the single source of truth for the static
+shape checker, so a program that passes checking cannot fail at runtime
+for shape reasons.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._blas import one_thread
-from .axes import Axis, Shape
+from .axes import Axis, Record, Shape
 from .errors import (
     AllMasked,
     ExtensionCollision,
@@ -38,7 +43,7 @@ __all__ = [
     "reduce", "contract", "softmax", "argmax", "argmin",
     "rename", "rename_many", "merge_axes", "split_axis", "unroll",
     "index_select", "maxk", "argmaxk", "det", "inv", "standardize",
-    "identity", "identity_shape", "partial_index_shape",
+    "identity", "identity_shape", "partial_index", "partial_index_shape",
     "binary_shape", "reduce_shape", "contract_shape", "softmax_shape",
     "rename_shape", "rename_many_shape", "merge_shape", "split_shape", "unroll_shape",
     "index_select_shape", "maxk_shape", "argmaxk_shape",
@@ -643,8 +648,23 @@ def identity(a: Axis, b: Axis) -> NamedTensor:
     return NamedTensor._own(identity_shape(a, b), np.eye(a.size), [a.name, b.name])
 
 
-def partial_index_shape(s: Shape, bindings: Mapping[str, int]) -> Shape:
-    for name, idx in bindings.items():
-        if not 1 <= idx <= s.size(name):
+def partial_index_shape(s: Shape, record: Record) -> Shape:
+    for name, idx in record:
+        if name not in s:
+            raise InvalidRecord(f"axis {name!r} not in shape {s}")
+        if idx > s.size(name):
             raise InvalidRecord(f"index {name}({idx}) out of range for {s.axis(name)!r}")
-    return s.drop(bindings.keys())
+    return s.drop(record.names)
+
+
+def partial_index(a, record) -> NamedTensor:
+    """Fix the axes named in ``record`` (a :class:`Record` or a mapping of
+    names to indices); the result drops those axes.  Its values are
+    copied, so a small result never keeps ``a``'s whole buffer alive."""
+    a, record = as_tensor(a), Record(record)
+    out = partial_index_shape(a.shape, record)
+    if not len(record):
+        return a
+    fixed = dict(record)
+    indexer = tuple(fixed[n] - 1 if n in fixed else slice(None) for n in a.shape.names)
+    return NamedTensor._own(out, a.array[indexer].copy())

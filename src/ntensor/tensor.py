@@ -9,8 +9,9 @@ with the empty shape is interchangeable with a scalar.
 Tensors are immutable: a result's buffer is marked read-only, so values are
 safe to share across threads, and may be its operand's own buffer (a
 relabelling or reshape whose layout is already canonical copies nothing).
-:meth:`NamedTensor.partial_index` copies its slice, so it never keeps a
-larger parent buffer alive.
+:func:`ops.partial_index` copies its slice, so it never keeps a larger
+parent buffer alive.  Element access and every operator delegate to
+:mod:`ntensor.ops`.
 """
 
 from __future__ import annotations
@@ -178,55 +179,21 @@ class NamedTensor:
 
     # -- element access ---------------------------------------------------
 
-    def _position(self, record: Record) -> tuple:
-        pos = []
-        for ax in self._shape:
-            try:
-                idx = record[ax.name]
-            except Exception:
-                raise InvalidRecord(
-                    f"record {record} does not bind axis {ax.name!r} of {self._shape}"
-                ) from None
-            if idx > ax.size:
-                raise InvalidRecord(f"index {ax.name}({idx}) out of range for {ax!r}")
-            pos.append(idx - 1)
-        return tuple(pos)
-
     def get(self, record) -> float:
         """The value at a full record of this tensor's shape."""
         record = Record(record)
-        if len(record) != len(self._shape):
+        if record.names != self._shape.names:
             raise InvalidRecord(
-                f"record {record} does not address every axis of {self._shape}"
+                f"record {record} does not name exactly the axes of {self._shape}"
             )
-        return float(self._array[self._position(record)])
+        return ops.partial_index(self, record).item()
 
     def partial_index(self, record) -> "NamedTensor":
-        """Fix the axes named in ``record``; the result drops those axes.
+        """Fix the axes named in ``record``, as ``self[record]`` does:
+        :func:`ops.partial_index`."""
+        return ops.partial_index(self, record)
 
-        Its values are copied, so a small result never keeps this tensor's
-        whole buffer alive."""
-        record = Record(record)
-        if not len(record):
-            return self
-        for name, _ in record:
-            if name not in self._shape:
-                raise InvalidRecord(f"axis {name!r} not in shape {self._shape}")
-        indexer = []
-        for ax in self._shape:
-            if ax.name in record:
-                idx = record[ax.name]
-                if idx > ax.size:
-                    raise InvalidRecord(f"index {ax.name}({idx}) out of range for {ax!r}")
-                indexer.append(idx - 1)
-            else:
-                indexer.append(slice(None))
-        rest = self._shape.drop(record.names)
-        return NamedTensor._own(rest, self._array[tuple(indexer)].copy())
-
-    def __getitem__(self, record):
-        """Partial indexing by record; full records yield a scalar tensor."""
-        return self.partial_index(record)
+    __getitem__ = partial_index
 
     def items(self) -> Iterator[Tuple[Record, float]]:
         """(record, value) pairs in enumeration order."""

@@ -53,6 +53,8 @@ CALLS = {
     "inv": [(M, "r", "c")],
     "standardize": [(X, ["a"]), (M, ["c"])],
     "identity": [(Axis("r", 2), Axis("c", 2))],
+    "partial_index": [(X, {"a": 1}), (X, {"a": 3}), (M, {"m": 3}),
+                      (M, {"m": 4, "c": 1}), (M, {"m": 5, "r": 1, "c": 1})],
 }
 
 
