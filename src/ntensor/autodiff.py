@@ -97,13 +97,14 @@ class ExprError(NamedTensorError):
 
 
 class Context:
-    """Carries the axis-size table during walks; a given table, even an
-    empty one, declares every size, and shape inference holds constants to it."""
+    """Carries the caller's axis-size table, read as given, during walks; a
+    given table, even an empty one, declares every size, and shape
+    inference holds constants to it."""
 
     __slots__ = ("axis_sizes",)
 
     def __init__(self, axis_sizes: Optional[Mapping[str, int]] = None):
-        self.axis_sizes = None if axis_sizes is None else dict(axis_sizes)
+        self.axis_sizes = axis_sizes
 
     def size_of(self, name: str, given: Optional[int] = None) -> int:
         """``given`` when it is not None, else the declared size of ``name``."""
@@ -184,7 +185,7 @@ class Expr:
         args = self._args(child_values[0].shape, ctx)
         return getattr(ops, self.kernel)(*child_values, *args)
 
-    def _grads(self, g: NamedTensor, child_values, value: NamedTensor, ctx: Context,
+    def _grads(self, g: NamedTensor, child_values, value: NamedTensor,
                need: Sequence[bool]):
         """The cotangent of each operand, or None; ``need`` flags the
         operands that depend on the variable, and only those are used."""
@@ -349,7 +350,7 @@ class Unary(Expr):
     def _infer(self, child_shapes, ctx, env):
         return child_shapes[0]
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         y = value
         if self.op == "neg":
@@ -372,7 +373,7 @@ class Binary(Expr):
     a: Expr
     b: Expr
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         a, b = child_values
         da, db = need
         if self.op == "add":
@@ -405,7 +406,7 @@ class Reduce(Expr):
             raise ValueError(f"unknown reduction {self.red!r}")
         super().__post_init__()
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         target = x.shape
         n = math.prod(target.size(a) for a in self.axes)
@@ -450,7 +451,7 @@ class Contract(Expr):
     b: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         a, b = child_values
         sa, sb = a.shape, b.shape
         da, db = need
@@ -466,7 +467,7 @@ class Softmax(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         y = value
         inner = ops.contract(g, y, self.axes)
         return (ops.mul(y, ops.sub(g, inner)),)
@@ -479,7 +480,7 @@ class ArgExtremum(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         return (None,)
 
 
@@ -488,7 +489,7 @@ class Standardize(Expr):
     child: Expr
     axes: tuple
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         n = float(math.prod(x.shape.size(a) for a in self.axes))
         q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), ops.EPS))
@@ -511,7 +512,7 @@ class Rename(Expr):
     old: str
     new: str
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         return (ops.rename(g, self.new, self.old),)
 
 
@@ -527,7 +528,7 @@ class Merge(Expr):
         size = math.prod(shape.size(p) for p in self.parts)
         return (self.parts, Axis(self.merged_name, size))
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         at = g.shape.names.index(self.merged_name)
         names = g.shape.names[:at] + self.parts + g.shape.names[at + 1 :]
@@ -553,7 +554,7 @@ class Split(Expr):
         outer = Axis(self.outer_name, n // inner)
         return (self.src, outer, Axis(self.inner_name, inner))
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         merged = Axis(self.src, x.shape.size(self.src))
         return (ops.merge_axes(g, [self.outer_name, self.inner_name], merged),)
@@ -570,7 +571,7 @@ class Unroll(Expr):
         size = ctx.size_of(self.kernel_name, self.kernel_size)
         return (self.seq, Axis(self.kernel_name, size))
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         # kernel offset j of every window reads input positions j+1 .. j+length
         rest = g.shape.drop([self.kernel_name, self.seq])
@@ -598,7 +599,7 @@ class IndexSelect(Expr):
     def _eval(self, child_values, ctx, env):
         return ops.index_select(child_values[0], self.ax, child_values[1])
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         a, idx = child_values
         n = a.shape.size(self.ax)
         onehot = NamedTensor._own(
@@ -624,11 +625,11 @@ class TopK(Expr):
     def _args(self, shape, ctx):
         return (self.ax, Axis(self.k_name, ctx.size_of(self.k_name, self.k_size)))
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         if self.which == "argmaxk":
             return (None,)
         (x,) = child_values
-        selectors = ops.argmaxk(x, *self._args(x.shape, ctx))
+        selectors = ops.argmaxk(x, self.ax, g.shape.axis(self.k_name))
         return (ops.contract(g, selectors, [self.k_name]),)
 
 
@@ -641,7 +642,7 @@ class LinAlg(Expr):
     rows: str
     cols: str
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         raise UnsupportedDerivative(
             f"differentiation through {self.which} is not supported"
         )
@@ -656,7 +657,7 @@ class PartialIndex(Expr):
         self.bindings = Record(self.bindings)
         super().__post_init__()
 
-    def _grads(self, g, child_values, value, ctx, need):
+    def _grads(self, g, child_values, value, need):
         (x,) = child_values
         for name, i in self.bindings:
             onehot = np.zeros(x.shape.size(name))
@@ -835,14 +836,10 @@ def splice(bindings: Iterable[Tuple[str, Optional[Expr]]]) -> Dict[str, Expr]:
     return graphs
 
 
-def _normalize_env(env) -> dict:
-    return dict(env) if env else {}
-
-
 def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
     ctx = Context(axis_sizes)
-    _, shapes = _forward(e, _normalize_env(env), ctx, "_infer", root_only=True)
+    _, shapes = _forward(e, env or {}, ctx, "_infer", root_only=True)
     return shapes[id(e)]
 
 
@@ -873,12 +870,12 @@ def _forward(e: Expr, env, ctx: Context, step: str = "_eval", root_only: bool = 
 def evaluate(e: Expr, env=None, *, axis_sizes=None) -> NamedTensor:
     """Evaluate the expression under the given variable bindings."""
     ctx = Context(axis_sizes)
-    _, vals = _forward(e, _normalize_env(env), ctx, root_only=True)
+    _, vals = _forward(e, env or {}, ctx, root_only=True)
     return vals[id(e)]
 
 
 def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
-              var_shape: Shape, ctx: Context, probes: Shape = Shape()) -> NamedTensor:
+              var_shape: Shape, probes: Shape = Shape()) -> NamedTensor:
     """Propagate ``cotangent`` from ``root`` down to the variable ``wrt``.
 
     ``probes`` are axes of the cotangent that no node of the graph names.
@@ -913,7 +910,7 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
             kids = [vals[id(c)] for c in node.children()]
             need = [id(c) in active for c in node.children()]
             try:
-                grads = node._grads(g, kids, vals[id(node)], ctx, need)
+                grads = node._grads(g, kids, vals[id(node)], need)
             except NamedTensorError as err:
                 raise ExprError(node, err) from err
             for child, kid, cg, needed in zip(node.children(), kids, grads, need):
@@ -932,8 +929,7 @@ def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
     variable's shape.  For a scalar ``e`` and cotangent 1 this is the
     gradient.
     """
-    env = _normalize_env(env)
-    if wrt not in env:
+    if wrt not in (env or {}):
         raise UnboundVariable(f"variable {wrt!r} is not bound")
     ctx = Context(axis_sizes)
     order, vals = _forward(e, env, ctx)
@@ -943,7 +939,7 @@ def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
             f"cotangent shape {cotangent.shape} does not match "
             f"expression shape {vals[id(e)].shape}"
         )
-    return _backward(order, vals, e, cotangent, wrt, as_tensor(env[wrt]).shape, ctx)
+    return _backward(order, vals, e, cotangent, wrt, as_tensor(env[wrt]).shape)
 
 
 @dataclass
@@ -968,8 +964,7 @@ def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     the output axes ``T`` and probe copies of them, fresh against every
     axis name in the graph, and the probes are renamed to ``T'`` at the end.
     """
-    env = _normalize_env(env)
-    if wrt not in env:
+    if wrt not in (env or {}):
         raise UnboundVariable(f"variable {wrt!r} is not bound")
     var_shape = as_tensor(env[wrt]).shape
     ctx = Context(axis_sizes)
@@ -983,7 +978,7 @@ def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     probes = Shape(Axis(p, out_shape.size(n)) for n, p in probe.items())
     eye = np.eye(out_shape.num_records).reshape(out_shape.sizes * 2)
     seed = NamedTensor._own(out_shape.union(probes), eye, out_shape.names + tuple(probe.values()))
-    total = _backward(order, vals, e, seed, wrt, var_shape, ctx, probes)
+    total = _backward(order, vals, e, seed, wrt, var_shape, probes)
     public = {p: rename_map.get(n, n) for n, p in probe.items()}
     return Derivative(ops.rename_many(total, public), rename_map)
 

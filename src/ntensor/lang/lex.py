@@ -8,12 +8,13 @@ lexes as a contraction on the scalar 3.
 
 A bracketed numeric literal is one ``LITERAL`` token: from a ``[`` up to
 the ``]`` that balances it, holding only numbers, ``inf``, ``-``, commas,
-brackets and whitespace, so the parser can convert its entries in one
-pass.  Its text lexes into exactly the tokens it spans, so the parser
-re-lexes the literals it will not read in bulk (a ragged or too deep one,
-or a bracket that is a suffix, ``X[1]``) with ``literals=False`` and reads
-them token by token.  A ``[`` with a comment, a ``+`` or an identifier
-before its balancing ``]`` starts no ``LITERAL`` and lexes token by token.
+brackets and whitespace, so the parser can hand it whole to the standard
+JSON parser.  Its text lexes into exactly the tokens it spans, so the parser
+re-lexes the literals that parser or numpy refuses (a spaced sign, a
+leading zero, a ragged or too deep literal), and a bracket that is a
+suffix (``X[1]``), with ``literals=False`` and reads them token by token.
+A ``[`` with a comment, a ``+`` or an identifier before its balancing
+``]`` starts no ``LITERAL`` and lexes token by token.
 
 A token records the offset of its first character; :class:`Positions`
 turns an offset into the 1-based (line, col) that spans and diagnostics

@@ -21,8 +21,8 @@ and never recurses, so an expression of any depth prints.
 
 from __future__ import annotations
 
+import json
 import math
-import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -31,7 +31,7 @@ import numpy as np
 from .. import autodiff as ad
 from .. import ops
 from ..errors import NamedTensorError
-from ..tensor import _MAX_DIMS, NamedTensor
+from ..tensor import NamedTensor
 from .diagnostics import ParseError
 from .lex import RESERVED, Positions, Token, is_name, tokenize
 
@@ -115,10 +115,6 @@ _INFIX = {
     "*": ("mul", _LEVEL_TERM), "/": ("div", _LEVEL_TERM),
 }
 _SYMBOL = {op: (sym, level) for sym, (op, level) in _INFIX.items()}
-
-# What separates the entries of a LITERAL token.
-_SEPARATORS_RE = re.compile(r"([\s,\[\]]+)")
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -409,36 +405,22 @@ class _Parser:
         return self._spanned(ad.Const(value), start)
 
     def bulk(self, tok: Token) -> Optional[np.ndarray]:
-        """The entries of a LITERAL token, read in one pass into an array of
-        the regular shape read down its first entries.  None if its
-        brackets and commas do not have that shape, an entry is not one
-        signed number, or it nests too deep: ``nested`` then reads it
-        token by token and reports the fault."""
-        parts = _SEPARATORS_RE.split(tok.text)  # "", separator, entry, ..., separator, ""
-        skeleton = "".join("0".join(parts[1::2]).split())
-        depth = len(skeleton) - len(skeleton.lstrip("["))
-        if self.depth + depth > self.MAX_DEPTH or depth > _MAX_DIMS:
-            return None
-        sizes, inner = [], 1  # innermost level first
-        for closing in range(1, depth + 1):
-            entries = skeleton.count("0", 0, skeleton.find("]" * closing))
-            if not entries:
-                return None
-            sizes.append(entries // inner)
-            inner = entries
-        regular = "0"
-        for size in sizes:
-            regular = "[" + ",".join([regular] * size) + "]"
-        if skeleton != regular:
-            return None
+        """The entries of a LITERAL token, read by the standard JSON parser
+        and numpy's shape discovery.  None if either refuses them (a spaced
+        sign, a leading zero, non-ASCII whitespace or digits, a stray comma,
+        a ragged literal, more dimensions than numpy holds), or they are
+        empty or nest past MAX_DEPTH: ``nested`` then reads them token by
+        token and reports the fault.  A LITERAL holds only numbers, ``inf``,
+        ``-``, commas, brackets and whitespace, and JSON converts each
+        number with ``float``, so every value has the token path's bits."""
         try:
-            # An entry lexed as numbers, "inf" and "-"; float takes exactly
-            # the "-"? NUMBER-or-inf ones, parsing the magnitude apart from
-            # the sign, so each value has the bits of sign * float(number).
-            values = list(map(float, parts[2:-1:2]))
-        except ValueError:
+            text = tok.text.replace("inf", "Infinity")
+            values = np.array(json.loads(text, parse_int=float))
+        except (ValueError, RecursionError):
             return None
-        return np.array(values).reshape(sizes[::-1])
+        if not values.size or self.depth + values.ndim > self.MAX_DEPTH:
+            return None
+        return values
 
     def random_literal(self) -> ad.Expr:
         start = self.advance()

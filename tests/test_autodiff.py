@@ -430,6 +430,34 @@ def test_evaluate_holds_only_live_values():
     assert peak < 4e6
 
 
+class _Unlisted(dict):
+    """A mapping that refuses to list its keys, so it cannot be copied."""
+
+    def keys(self):
+        raise AssertionError("the mapping was listed")
+
+    def __iter__(self):
+        raise AssertionError("the mapping was listed")
+
+
+def test_walks_read_env_and_axis_sizes_as_given():
+    """A program's checker and runner call these once per binding with the
+    whole table so far, so copying it would make a wide program quadratic."""
+    e = ad.maxk(ad.var("X") * ad.size_of("a"), "a", "k") + ad.literal([1.0, 2.0], ["k"])
+    x = _rand(0, a=3, b=2)
+    sizes = {"a": 3, "b": 2, "k": 2}
+    env, g = {"X": x}, _rand(1, b=2, k=2)
+    got_env, got_sizes = _Unlisted(env), _Unlisted(sizes)
+    assert ad.infer_shape(e, got_env, axis_sizes=got_sizes) == ad.infer_shape(
+        e, env, axis_sizes=sizes)
+    assert ad.evaluate(e, got_env, axis_sizes=got_sizes) == ad.evaluate(
+        e, env, axis_sizes=sizes)
+    assert ad.vjp(e, "X", got_env, g, axis_sizes=got_sizes) == ad.vjp(
+        e, "X", env, g, axis_sizes=sizes)
+    assert ad.jacobian(e, "X", got_env, axis_sizes=got_sizes).value == ad.jacobian(
+        e, "X", env, axis_sizes=sizes).value
+
+
 def test_splice_shares_each_binding_and_keeps_inputs_as_variables():
     bindings = [
         ("I", None),

@@ -283,6 +283,18 @@ def test_fast_literal_path_agrees_with_the_token_path(case):
     "A = " + "(" * 98 + "[[1]] over (a, b)" + ")" * 98,
     "A = " + "(" * 99 + "[[1]] over (a, b)" + ")" * 99,
     "A = " + "[" * (_MAX_DIMS + 1) + "1" + "]" * (_MAX_DIMS + 1) + " over (a)",
+    # numbers, separators and brackets the JSON grammar does not read
+    "A = [007, 1] over (a)", "A = [1E5, 1e+5, 1e-05] over (a)",
+    "A = [99999999999999999999999, 1] over (a)", "A = [1e400, -1e400] over (a)",
+    "A = [-0, 0] over (a)", "A = [1,\r2] over (a)", "A = [1,\v2] over (a)",
+    "A = [1,\f2] over (a)", "A = [1,\u00a02] over (a)", "A = [1,\u20032] over (a)",
+    "A = [\u0663, 1] over (a)", "A = [1,] over (a)", "A = [,1] over (a)",
+    "A = [1,,2] over (a)", "A = [--1] over (a)", "A = [1-2] over (a)",
+    "A = [[1], 2] over (a, b)", "A = [1, [2]] over (a, b)", "A = [[[]]] over (a, b, c)",
+    "A = [ ] over (a)",
+    pytest.param("A = " + "[" * 200 + "1" + "]" * 200 + " over (a)", id="200-deep"),
+    pytest.param("A = " + "[" * 3000 + "1" + "]" * 3000 + " over (a)", id="3000-deep"),
+    "A = " + "(" * 95 + "[1, " + "[" * 8 + "1" + "]" * 8 + "] over (a)" + ")" * 95,
 ])
 def test_edge_literals_read_as_the_token_path(source):
     _assert_paths_agree(source)

@@ -48,6 +48,8 @@ PINNED = {
     ("eval", "kmeans.nt", 1): "41256794335792dae67e851ac7827db9a9670321f9b4b9c33c0e2f9ada7de31c",
     ("eval", "lenet.nt", 0): "66178fc7bd90054a866577e2d45af3ebb8add21bd428883545cafe30a459cad8",
     ("eval", "lenet.nt", 1): "d69640dd8f57790b085c236729d7c1de991ca37fe313c092f78d6ceac01e7c25",
+    ("eval", "literals.nt", 0): "8014f7dcd5ac35142eb47e8133891d55ba7ead23159589d8a175fb1911a87d28",
+    ("eval", "literals.nt", 1): "8014f7dcd5ac35142eb47e8133891d55ba7ead23159589d8a175fb1911a87d28",
     ("eval", "matrix_basics.nt", 0): "a250972fc08869f1867ae1c77f3fe72ab0ee997e90d6dc14dbb9fb5822fc5aa0",
     ("eval", "matrix_basics.nt", 1): "a250972fc08869f1867ae1c77f3fe72ab0ee997e90d6dc14dbb9fb5822fc5aa0",
     ("eval", "mvn.nt", 0): "be9642d294b19fd1542211b03981a382f36c9622274fc4f6551407021cadfecc",
