@@ -5,7 +5,8 @@ constants at the leaves, tensor operations above them.  The same graph is
 used three ways: :func:`infer_shape` runs the shape rules only,
 :func:`evaluate` computes values, each held until its last reader, and
 :func:`vjp` / :func:`jacobian` differentiate.  :func:`splice` joins named
-bindings, as a program or model writes them, into one graph.
+bindings, as a program or model writes them, into one graph, drawing
+random literals as it goes, and :func:`evaluate` runs its roots in one walk.
 
 Each node class is a dataclass of its fields: those annotated ``Expr`` are
 its operands, in order, and the others are its static parameters.  Fields
@@ -22,7 +23,7 @@ time.  Beyond its fields, a node class holds only real shape or kernel glue
 and its VJP rule.
 
 Random literals (``random over (axes)``) have a shape but no values here:
-:mod:`ntensor.lang` replaces them with seeded constants before evaluating,
+:mod:`ntensor.lang` replaces them with seeded constants as it splices,
 and evaluating one that was not replaced raises.
 
 Derivatives follow the named-axis convention: the derivative of ``Y`` (shape
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,23 +97,15 @@ class ExprError(NamedTensorError):
         self.error = error
 
 
-class Context:
-    """Carries the caller's axis-size table, read as given, during walks; a
-    given table, even an empty one, declares every size, and shape
-    inference holds constants to it."""
-
-    __slots__ = ("axis_sizes",)
-
-    def __init__(self, axis_sizes: Optional[Mapping[str, int]] = None):
-        self.axis_sizes = axis_sizes
-
-    def size_of(self, name: str, given: Optional[int] = None) -> int:
-        """``given`` when it is not None, else the declared size of ``name``."""
-        if given is not None:
-            return given
-        if name not in (self.axis_sizes or {}):
-            raise MissingAxis(f"axis {name!r} has no declared size")
-        return self.axis_sizes[name]
+def _declared(sizes: Optional[Mapping[str, int]], name: str, given: Optional[int] = None) -> int:
+    """``given`` when it is not None, else the size declared for ``name`` in
+    the caller's table, read as given; a table, even an empty one, declares
+    every size, and shape inference holds constants to it."""
+    if given is not None:
+        return given
+    if name not in (sizes or {}):
+        raise MissingAxis(f"axis {name!r} has no declared size")
+    return sizes[name]
 
 
 class Expr:
@@ -171,18 +164,18 @@ class Expr:
         new._children = tuple(kids)
         return new
 
-    def _args(self, shape: Shape, ctx: Context) -> tuple:
+    def _args(self, shape: Shape, sizes) -> tuple:
         """The static arguments the kernel and its shape rule take after the
         operands; ``shape`` is the first operand's."""
         key = self._key()
         return key[1:] if self.OPS is not None else key
 
-    def _infer(self, child_shapes, ctx: Context, env) -> Shape:
+    def _infer(self, child_shapes, sizes, env) -> Shape:
         rule = getattr(ops, self.rule or self.kernel + "_shape")
-        return rule(*child_shapes, *self._args(child_shapes[0], ctx))
+        return rule(*child_shapes, *self._args(child_shapes[0], sizes))
 
-    def _eval(self, child_values, ctx: Context, env) -> NamedTensor:
-        args = self._args(child_values[0].shape, ctx)
+    def _eval(self, child_values, sizes, env) -> NamedTensor:
+        args = self._args(child_values[0].shape, sizes)
         return getattr(ops, self.kernel)(*child_values, *args)
 
     def _grads(self, g: NamedTensor, child_values, value: NamedTensor,
@@ -245,13 +238,13 @@ class Expr:
 class Var(Expr):
     name: str
 
-    def _infer(self, child_shapes, ctx, env):
+    def _infer(self, child_shapes, sizes, env):
         if self.name not in env:
             raise UnboundVariable(f"variable {self.name!r} is not bound")
         bound = env[self.name]
         return bound.shape if isinstance(bound, NamedTensor) else bound
 
-    def _eval(self, child_values, ctx, env):
+    def _eval(self, child_values, sizes, env):
         if self.name not in env:
             raise UnboundVariable(f"variable {self.name!r} is not bound")
         return as_tensor(env[self.name])
@@ -269,11 +262,11 @@ class Const(Expr):
         self.value = as_tensor(self.value)
         super().__post_init__()
 
-    def _infer(self, child_shapes, ctx, env):
+    def _infer(self, child_shapes, sizes, env):
         shape = self.value.shape
-        if ctx.axis_sizes is not None:
+        if sizes is not None:
             for ax in shape:
-                declared = ctx.size_of(ax.name)
+                declared = _declared(sizes, ax.name)
                 if declared != ax.size:
                     raise SizeMismatch(
                         f"literal gives {ax.name!r} size {ax.size}, "
@@ -281,7 +274,7 @@ class Const(Expr):
                     )
         return shape
 
-    def _eval(self, child_values, ctx, env):
+    def _eval(self, child_values, sizes, env):
         return self.value
 
 
@@ -290,13 +283,13 @@ class RandomLiteral(Expr):
 
     axis_names: tuple
 
-    def _infer(self, child_shapes, ctx, env):
+    def _infer(self, child_shapes, sizes, env):
         try:
-            return Shape(Axis(n, ctx.size_of(n)) for n in self.axis_names)
+            return Shape(Axis(n, _declared(sizes, n)) for n in self.axis_names)
         except ValueError as e:
             raise ShapeError(str(e)) from None
 
-    def _eval(self, child_values, ctx, env):
+    def _eval(self, child_values, sizes, env):
         raise NamedTensorError(
             "random literal has no values; lang.run_program draws them"
         )
@@ -307,12 +300,12 @@ class SizeOf(Expr):
 
     axis_name: str
 
-    def _infer(self, child_shapes, ctx, env):
-        ctx.size_of(self.axis_name)
+    def _infer(self, child_shapes, sizes, env):
+        _declared(sizes, self.axis_name)
         return Shape()
 
-    def _eval(self, child_values, ctx, env):
-        return NamedTensor.scalar(ctx.size_of(self.axis_name))
+    def _eval(self, child_values, sizes, env):
+        return NamedTensor.scalar(_declared(sizes, self.axis_name))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ class Unary(Expr):
     op: str
     child: Expr
 
-    def _infer(self, child_shapes, ctx, env):
+    def _infer(self, child_shapes, sizes, env):
         return child_shapes[0]
 
     def _grads(self, g, child_values, value, need):
@@ -523,7 +516,7 @@ class Merge(Expr):
     parts: tuple
     merged_name: str
 
-    def _args(self, shape, ctx):
+    def _args(self, shape, sizes):
         ops._check_axis_list(shape, self.parts)
         size = math.prod(shape.size(p) for p in self.parts)
         return (self.parts, Axis(self.merged_name, size))
@@ -546,9 +539,9 @@ class Split(Expr):
     inner_name: str
     inner_size: Optional[int] = None
 
-    def _args(self, shape, ctx):
+    def _args(self, shape, sizes):
         n = shape.size(self.src)
-        inner = ctx.size_of(self.inner_name, self.inner_size)
+        inner = _declared(sizes, self.inner_name, self.inner_size)
         if inner < 1 or n % inner != 0:
             raise SizeMismatch(f"cannot split {self.src}[{n}] into blocks of {inner}")
         outer = Axis(self.outer_name, n // inner)
@@ -567,8 +560,8 @@ class Unroll(Expr):
     kernel_name: str
     kernel_size: Optional[int] = None
 
-    def _args(self, shape, ctx):
-        size = ctx.size_of(self.kernel_name, self.kernel_size)
+    def _args(self, shape, sizes):
+        size = _declared(sizes, self.kernel_name, self.kernel_size)
         return (self.seq, Axis(self.kernel_name, size))
 
     def _grads(self, g, child_values, value, need):
@@ -593,10 +586,10 @@ class IndexSelect(Expr):
     ax: str
     indices: Expr
 
-    def _infer(self, child_shapes, ctx, env):
+    def _infer(self, child_shapes, sizes, env):
         return ops.index_select_shape(child_shapes[0], self.ax, child_shapes[1])
 
-    def _eval(self, child_values, ctx, env):
+    def _eval(self, child_values, sizes, env):
         return ops.index_select(child_values[0], self.ax, child_values[1])
 
     def _grads(self, g, child_values, value, need):
@@ -622,8 +615,8 @@ class TopK(Expr):
     k_name: str
     k_size: Optional[int] = None
 
-    def _args(self, shape, ctx):
-        return (self.ax, Axis(self.k_name, ctx.size_of(self.k_name, self.k_size)))
+    def _args(self, shape, sizes):
+        return (self.ax, Axis(self.k_name, _declared(sizes, self.k_name, self.k_size)))
 
     def _grads(self, g, child_values, value, need):
         if self.which == "argmaxk":
@@ -785,9 +778,10 @@ def inv(a, rows: str, cols: str) -> Expr:
 # ---------------------------------------------------------------------------
 # graph walkers
 
-def _topo(root: Expr) -> list:
-    """Post-order over the DAG: every node appears after all its children."""
-    order, seen, stack = [], set(), [(root, False)]
+def _topo(*roots: Expr) -> list:
+    """Post-order over the DAG: every node appears after all its children,
+    and each root's new nodes after those of the roots before it."""
+    order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -818,45 +812,66 @@ def _rebuild(order: list, memo: dict) -> Expr:
     return memo[id(order[-1])]
 
 
-def splice(bindings: Iterable[Tuple[str, Optional[Expr]]]) -> Dict[str, Expr]:
+def splice(bindings: Iterable[Tuple[str, Optional[Expr]]],
+           draw: Optional[Callable[[RandomLiteral], Expr]] = None) -> Dict[str, Expr]:
     """A graph for each computed binding of the ordered ``(name, expr)``
     pairs, in which every read of an earlier one is that binding's shared
     graph.  Reads of a binding to None, a :class:`Const` or a
-    :class:`RandomLiteral` stay variables."""
+    :class:`RandomLiteral` stay variables.  With ``draw``, each random
+    literal is replaced once by ``draw(node)``, in program order (each
+    binding depth-first, left to right); a binding to one is drawn too."""
     graphs: Dict[str, Expr] = {}
     memo: dict = {}
     for name, expr in bindings:
-        if expr is None or isinstance(expr, (Const, RandomLiteral)):
-            continue
-        order = _topo(expr)
-        for node in order:
+        order = [] if expr is None else _topo(expr)
+        # Reversed _topo order visits a tree depth-first, left to right.
+        for node in reversed(order):
             if isinstance(node, Var) and node.name in graphs:
                 memo[id(node)] = graphs[node.name]
-        graphs[name] = _rebuild(order, memo)
+            elif draw is not None and isinstance(node, RandomLiteral) and id(node) not in memo:
+                memo[id(node)] = draw(node)
+        graph = _rebuild(order, memo) if order else None
+        if graph is None or isinstance(graph, (Const, RandomLiteral)):
+            graphs.pop(name, None)  # a name bound again drops its earlier graph
+        else:
+            graphs[name] = graph
     return graphs
 
 
 def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
-    ctx = Context(axis_sizes)
-    _, shapes = _forward(e, env or {}, ctx, "_infer", root_only=True)
+    _, shapes = _forward([e], env or {}, axis_sizes, "_infer", root_only=True)
     return shapes[id(e)]
 
 
-def _forward(e: Expr, env, ctx: Context, step: str = "_eval", root_only: bool = False):
+# numpy's limit on an array's bytes, in float64 entries
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _forward(roots: Sequence[Expr], env, sizes, step: str = "_eval", root_only: bool = False):
     """Apply ``node._eval`` (or ``step``) to every node, children first.
 
-    Returns the ``_topo`` order and each node's result by ``id`` (with
-    ``root_only``, each is dropped after its last reader); an error is
-    re-raised as an :class:`ExprError` naming the node that raised it.
+    Returns the ``_topo`` order of ``roots`` and each node's result by
+    ``id`` (with ``root_only``, each node but a root is dropped after its
+    last reader); an error is re-raised as an :class:`ExprError` naming the
+    node that raised it.  An inferred shape with more entries than a numpy
+    array can hold is a :class:`ShapeError`.
     """
-    order = _topo(e)
+    order = _topo(*roots)
     last = {id(c): node for node in order for c in node.children()} if root_only else {}
+    for root in roots:
+        last.pop(id(root), None)
+    sized = step == "_infer"
     out: dict = {}
     for node in order:
         try:
             kids = [out[id(c)] for c in node.children()]
-            out[id(node)] = getattr(node, step)(kids, ctx, env)
+            res = out[id(node)] = getattr(node, step)(kids, sizes, env)
+            if sized and math.prod(res.sizes) > _MAX_ENTRIES:
+                raise ShapeError(
+                    f"{res} has {math.prod(res.sizes)} entries, more than "
+                    f"the {_MAX_ENTRIES} a numpy array can hold"
+                )
         except ExprError:
             raise
         except NamedTensorError as err:
@@ -867,11 +882,15 @@ def _forward(e: Expr, env, ctx: Context, step: str = "_eval", root_only: bool = 
     return order, out
 
 
-def evaluate(e: Expr, env=None, *, axis_sizes=None) -> NamedTensor:
-    """Evaluate the expression under the given variable bindings."""
-    ctx = Context(axis_sizes)
-    _, vals = _forward(e, env or {}, ctx, root_only=True)
-    return vals[id(e)]
+def evaluate(e: Union[Expr, Mapping[str, Expr]], env=None, *, axis_sizes=None):
+    """Evaluate the expression under the given variable bindings.
+
+    Given a mapping of names to expressions, evaluate them all in one walk,
+    each shared node once, and return their values by name.
+    """
+    roots = [e] if isinstance(e, Expr) else list(e.values())
+    _, vals = _forward(roots, env or {}, axis_sizes, root_only=True)
+    return vals[id(e)] if isinstance(e, Expr) else {n: vals[id(r)] for n, r in e.items()}
 
 
 def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
@@ -931,8 +950,7 @@ def vjp(e: Expr, wrt: str, env, cotangent, *, axis_sizes=None) -> NamedTensor:
     """
     if wrt not in (env or {}):
         raise UnboundVariable(f"variable {wrt!r} is not bound")
-    ctx = Context(axis_sizes)
-    order, vals = _forward(e, env, ctx)
+    order, vals = _forward([e], env, axis_sizes)
     cotangent = as_tensor(cotangent)
     if cotangent.shape != vals[id(e)].shape:
         raise ShapeMismatch(
@@ -967,8 +985,7 @@ def jacobian(e: Expr, wrt: str, env, *, axis_sizes=None) -> Derivative:
     if wrt not in (env or {}):
         raise UnboundVariable(f"variable {wrt!r} is not bound")
     var_shape = as_tensor(env[wrt]).shape
-    ctx = Context(axis_sizes)
-    order, vals = _forward(e, env, ctx)
+    order, vals = _forward([e], env, axis_sizes)
     out_shape = vals[id(e)].shape
 
     taken = set(out_shape.names) | set(var_shape.names)

@@ -1,7 +1,8 @@
 """Static shape checker for tensor programs.
 
 The checker runs the same shape rules the evaluator uses, so a program
-with no diagnostics cannot fail at runtime for shape reasons.  It collects
+with no diagnostics cannot fail at runtime for shape reasons; it also
+refuses a value with more entries than a numpy array can hold.  It collects
 diagnostics across the whole program rather than stopping at the first;
 a binding whose definition failed poisons its name, and later uses of a
 poisoned name are suppressed instead of producing cascades.

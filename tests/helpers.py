@@ -263,7 +263,7 @@ def fd_jacobian_entries(f, x: NamedTensor, scale: float = 1e-6):
 
 def fd_safe(expr: ad.Expr, env: dict, margin: float = 1e-3) -> bool:
     """True if no intermediate sits near a relu kink, max tie, or pole."""
-    order, vals = ad._forward(expr, dict(env), ad.Context())
+    order, vals = ad._forward([expr], dict(env), None)
     for node in order:
         if isinstance(node, ad.Unary):
             child = vals[id(node.child)].array

@@ -441,7 +441,7 @@ class _Unlisted(dict):
 
 
 def test_walks_read_env_and_axis_sizes_as_given():
-    """A program's checker and runner call these once per binding with the
+    """A program's checker calls these once per binding with the
     whole table so far, so copying it would make a wide program quadratic."""
     e = ad.maxk(ad.var("X") * ad.size_of("a"), "a", "k") + ad.literal([1.0, 2.0], ["k"])
     x = _rand(0, a=3, b=2)

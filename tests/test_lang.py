@@ -413,7 +413,15 @@ def test_invalid_corpus_rejected_with_spans(path):
     ("axis a = 2\nX : R[a, a]", (2, 1), "axis 'a' appears twice in the shape of 'X'"),
     ("axis a = 2\nX = [1, 2] over (b)", (2, 5), "axis 'b' has no declared size"),
     ("X = [1, 2] over (b)", (1, 5), "axis 'b' has no declared size"),
-], ids=["size_zero", "shape_twice", "axis_twice", "undeclared", "no_axis_lines"])
+    ("axis i = 10000000000\naxis j = 10000000000\nX = random over (i, j)", (3, 5),
+     "{i[10000000000], j[10000000000]} has 100000000000000000000 entries, "
+     "more than the 1152921504606846975 a numpy array can hold"),
+    ("axis i = 10000000000\naxis j = 10000000000\nA = random over (i)\n"
+     "B = random over (j)\nS = sum{i, j}(A + B)", (5, 17),
+     "{i[10000000000], j[10000000000]} has 100000000000000000000 entries, "
+     "more than the 1152921504606846975 a numpy array can hold"),
+], ids=["size_zero", "shape_twice", "axis_twice", "undeclared", "no_axis_lines",
+        "unrepresentable_literal", "unrepresentable_sum"])
 def test_checker_diagnostic_spans(source, span, message):
     diags = lang.check(lang.parse(source))
     assert len(diags) == 1
