@@ -6,15 +6,9 @@ underscores starting with a letter or underscore, plus trailing prime
 marks.  Numbers require a digit after the decimal point, so ``3.{ax}``
 lexes as a contraction on the scalar 3.
 
-A bracketed numeric literal is one ``LITERAL`` token: from a ``[`` up to
-the ``]`` that balances it, holding only numbers, ``inf``, ``-``, commas,
-brackets and whitespace, so the parser can hand it whole to the standard
-JSON parser.  Its text lexes into exactly the tokens it spans, so the parser
-re-lexes the literals that parser or numpy refuses (a spaced sign, a
-leading zero, a ragged or too deep literal), and a bracket that is a
-suffix (``X[1]``), with ``literals=False`` and reads them token by token.
-A ``[`` with a comment, a ``+`` or an identifier before its balancing
-``]`` starts no ``LITERAL`` and lexes token by token.
+The lexer only splits tokens, the same way wherever they stand: the parser
+calls :func:`next_token` as it reads, and finds a tensor literal in the
+source itself.  A ``[`` is always one symbol token.
 
 A token records the offset of its first character; :class:`Positions`
 turns an offset into the 1-based (line, col) that spans and diagnostics
@@ -25,31 +19,26 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .diagnostics import ParseError
 
 RESERVED = frozenset({"axis", "print", "check", "grad", "over", "random", "inf"})
 
-_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_TOKENS = rf"""
+_TOKEN_RE = re.compile(
+    r"""
     (?P<WS>\s+)
   | (?P<COMMENT>\#[^\n]*)
-  | (?P<NUMBER>{_NUMBER})
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<SYM>->|\.\{{|[=:,()\[\]{{}}+\-*/])
-"""
-_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
-# The longest run from a "[" of what a literal may hold; tokenize cuts it
-# at the "]" that balances the "[".
-_BULK_RE = re.compile(
-    rf"(?P<LITERAL>\[(?:[\s,\[\]-]+|{_NUMBER}|inf(?![A-Za-z0-9_']))*+)|{_TOKENS}",
+  | (?P<SYM>->|\.\{|[=:,()\[\]{}+\-*/])
+""",
     re.VERBOSE,
 )
 
 
 class Token(NamedTuple):
-    kind: str  # "IDENT", "NUMBER", "LITERAL", "EOF", or the symbol text itself
+    kind: str  # "IDENT", "NUMBER", "EOF", or the symbol text itself
     text: str
     offset: int  # index of the token's first character in the source
 
@@ -73,45 +62,26 @@ def is_name(text: str) -> bool:
     return m is not None and m.lastgroup == "IDENT" and text not in RESERVED
 
 
-def _balancing(source: str, start: int, end: int) -> Optional[int]:
-    """The offset just past the "]" in ``source[start:end]`` that balances
-    the "[" at ``start``, or None."""
-    depth, pos = 0, start
-    while True:
-        close = source.find("]", pos, end)
-        if close < 0:
-            return None
-        depth += source.count("[", pos, close) - 1
-        if not depth:
-            return close + 1
-        pos = close + 1
-
-
-def tokenize(source: str, literals: bool = True) -> List[Token]:
-    """The tokens of ``source``, ending in one ``EOF`` token; each bracketed
-    numeric literal is one ``LITERAL`` token if ``literals``."""
-    match = (_BULK_RE if literals else _TOKEN_RE).match
-    tokens = []
-    pos = 0
+def next_token(source: str, pos: int) -> Token:
+    """The first token of ``source`` at or after offset ``pos``, past
+    whitespace and comments; an ``EOF`` token at the end of the source."""
     while pos < len(source):
-        m = match(source, pos)
+        m = _TOKEN_RE.match(source, pos)
         if m is None:
             raise ParseError(*Positions(source)(pos), f"unexpected character {source[pos]!r}")
         kind = m.lastgroup
-        stop = m.end()
-        if kind == "LITERAL":
-            stop = _balancing(source, pos, stop)
-            if stop is None:  # the "[" is a symbol
-                stop = pos + 1
-                tokens.append(Token("[", "[", pos))
-            else:
-                tokens.append(Token(kind, source[pos:stop], pos))
-        elif kind == "SYM":
-            text = m.group()
-            tokens.append(Token(text, text, pos))
-        elif kind == "NUMBER" or kind == "IDENT":
-            tokens.append(Token(kind, m.group(), pos))
-        # WS and COMMENT are skipped
-        pos = stop
-    tokens.append(Token("EOF", "", pos))
+        if kind == "SYM":
+            return Token(m.group(), m.group(), pos)
+        if kind == "NUMBER" or kind == "IDENT":
+            return Token(kind, m.group(), pos)
+        pos = m.end()  # WS and COMMENT are skipped
+    return Token("EOF", "", pos)
+
+
+def tokenize(source: str) -> List[Token]:
+    """The tokens of ``source``, ending in one ``EOF`` token."""
+    tokens = [next_token(source, 0)]
+    while tokens[-1].kind != "EOF":
+        tok = tokens[-1]
+        tokens.append(next_token(source, tok.offset + len(tok.text)))
     return tokens

@@ -13,6 +13,10 @@ contraction operator ``.{axes}``, then postfix suffixes ``[old->new]``,
 ``[(a,b)->merged]``, ``[ax=i]``, then atoms.  ``-inf`` and ``-3`` are atoms;
 there is no general unary minus.
 
+The parser takes tokens from the lexer one at a time and finds a tensor
+literal itself, reading its source text with the standard JSON parser
+where it can (``_Parser.bulk``) and token by token where it cannot.
+
 Calls ``name{axes}(args)`` are defined in one place, the table ``_CALLS``:
 the parser builds every call from it and the printer inverts it, so a new
 call form is one table row.  The printer renders children before parents
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -33,7 +38,7 @@ from .. import ops
 from ..errors import NamedTensorError
 from ..tensor import NamedTensor
 from .diagnostics import ParseError
-from .lex import RESERVED, Positions, Token, is_name, tokenize
+from .lex import RESERVED, Positions, Token, is_name, next_token, tokenize
 
 __all__ = [
     "AxisDecl", "ShapeDecl", "Binding", "Directive", "Program",
@@ -116,6 +121,24 @@ _INFIX = {
 }
 _SYMBOL = {op: (sym, level) for sym, (op, level) in _INFIX.items()}
 
+# The characters a JSON literal of numbers, with "inf" for Infinity, may hold.
+_JSON_RUN = re.compile(r"[\s\d.eE+,\[\]inf-]+")
+
+
+def _balancing(source: str, start: int, end: int) -> Optional[int]:
+    """The offset just past the "]" in ``source[start:end]`` that balances
+    the "[" at ``start``, or None."""
+    depth, pos = 0, start
+    while True:
+        close = source.find("]", pos, end)
+        if close < 0:
+            return None
+        depth += source.count("[", pos, close) - 1
+        if not depth:
+            return close + 1
+        pos = close + 1
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -125,9 +148,9 @@ class _Parser:
     MAX_DEPTH = 100
 
     def __init__(self, source: str):
-        self.toks = tokenize(source)
+        self.source = source
         self.positions = Positions(source)
-        self.i = 0
+        self.tok = next_token(source, 0)
         self.depth = 0
 
     def at(self, tok: Token) -> Tuple[int, int]:
@@ -135,27 +158,17 @@ class _Parser:
         return self.positions(tok.offset)
 
     def peek(self, ahead: int = 0) -> Token:
-        # Callers look ahead only past a token that is not EOF, and EOF is
-        # the last token, so the index stays in range.
-        tok = self.toks[self.i + ahead]
-        if tok.kind == "LITERAL":  # only literal() reads one whole
-            tok = self.relex(self.i + ahead)
+        """The current token, or the one after it if ``ahead``; callers look
+        ahead only past a token that is not EOF."""
+        tok = self.tok
+        if ahead:
+            tok = next_token(self.source, tok.offset + len(tok.text))
         return tok
 
-    def relex(self, at: int) -> Token:
-        """Replace the LITERAL token at index ``at`` by the tokens it spans,
-        and return the first of them."""
-        tok = self.toks[at]
-        self.toks[at:at + 1] = [
-            t._replace(offset=tok.offset + t.offset)
-            for t in tokenize(tok.text, literals=False)[:-1]
-        ]
-        return self.toks[at]
-
     def advance(self) -> Token:
-        tok = self.toks[self.i]
+        tok = self.tok
         if tok.kind != "EOF":
-            self.i += 1
+            self.tok = next_token(self.source, tok.offset + len(tok.text))
         return tok
 
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
@@ -308,8 +321,8 @@ class _Parser:
         raise ParseError(*self.at(nxt), "expected '->' or '=' in suffix")
 
     def atom(self) -> ad.Expr:
-        tok = self.toks[self.i]  # not peek(), which re-lexes a LITERAL token
-        if tok.kind == "LITERAL" or tok.kind == "[":
+        tok = self.peek()
+        if tok.kind == "[":
             return self.literal()
         if tok.kind == "NUMBER":
             self.advance()
@@ -391,12 +404,10 @@ class _Parser:
     # -- literals ----------------------------------------------------------
 
     def literal(self) -> ad.Expr:
-        start = self.toks[self.i]
-        values = self.bulk(start) if start.kind == "LITERAL" else None
+        start = self.tok
+        values = self.bulk(start.offset)
         if values is None:
             values = self.nested()
-        else:
-            self.i += 1
         axes = self.over("tensor literals")
         try:
             value = NamedTensor.from_nested(values, axes)
@@ -404,22 +415,27 @@ class _Parser:
             raise ParseError(*self.at(start), str(e)) from None
         return self._spanned(ad.Const(value), start)
 
-    def bulk(self, tok: Token) -> Optional[np.ndarray]:
-        """The entries of a LITERAL token, read by the standard JSON parser
-        and numpy's shape discovery.  None if either refuses them (a spaced
+    def bulk(self, start: int) -> Optional[np.ndarray]:
+        """The entries of the literal whose ``[`` is at offset ``start``, up
+        to the balancing ``]`` in a ``_JSON_RUN``, read by the standard JSON
+        parser and numpy's shape discovery; the parser moves past that ``]``.
+        None if there is no such ``]``, if either refuses the text (a spaced
         sign, a leading zero, non-ASCII whitespace or digits, a stray comma,
-        a ragged literal, more dimensions than numpy holds), or they are
-        empty or nest past MAX_DEPTH: ``nested`` then reads them token by
-        token and reports the fault.  A LITERAL holds only numbers, ``inf``,
-        ``-``, commas, brackets and whitespace, and JSON converts each
-        number with ``float``, so every value has the token path's bits."""
+        a ragged literal, more dimensions than numpy holds), or the entries
+        are empty or nest past MAX_DEPTH: ``nested`` then reads the literal
+        token by token and reports the fault.  JSON converts each number
+        with ``float``, so every value has the token path's bits."""
+        stop = _balancing(self.source, start, _JSON_RUN.match(self.source, start).end())
+        if stop is None:
+            return None
         try:
-            text = tok.text.replace("inf", "Infinity")
+            text = self.source[start:stop].replace("inf", "Infinity")
             values = np.array(json.loads(text, parse_int=float))
         except (ValueError, RecursionError):
             return None
         if not values.size or self.depth + values.ndim > self.MAX_DEPTH:
             return None
+        self.tok = next_token(self.source, stop)
         return values
 
     def random_literal(self) -> ad.Expr:
@@ -468,7 +484,11 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse a program; raises :class:`ParseError` with a position on failure."""
-    return _Parser(source).program()
+    try:
+        return _Parser(source).program()
+    except ParseError:
+        tokenize(source)  # an unexpected character anywhere is reported first
+        raise
 
 
 # ---------------------------------------------------------------------------

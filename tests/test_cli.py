@@ -35,6 +35,18 @@ def test_check_reports_parse_errors(tmp_path, capsys):
     assert captured.err.split(":")[0].isdigit()
 
 
+def test_unexpected_character_is_reported_before_an_earlier_syntax_error(tmp_path, capsys):
+    text = "X = = 1\nY = $"
+    message = "2:5: error: unexpected character '$'"
+    with pytest.raises(lang.ParseError) as err:
+        lang.parse(text)
+    assert str(err.value) == message
+    source = tmp_path / "both.nt"
+    source.write_text(text)
+    assert main(["check", str(source)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_eval_outputs_tensor_text(capsys):
     assert main(["eval", MATRIX]) == 0
     out = capsys.readouterr().out

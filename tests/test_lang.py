@@ -2,6 +2,7 @@
 
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ntensor import NamedTensorError, Shape, SplitMix64, ops
 from ntensor import autodiff as ad
 from ntensor import lang
 from ntensor.cli import main
-from ntensor.lang.lex import RESERVED, tokenize
+from ntensor.lang.lex import RESERVED
 from ntensor.lang.parse import _Parser
 from ntensor.tensor import _MAX_DIMS
 from ntensor.zoo import transformer_program
@@ -251,10 +252,8 @@ def _outcome(parse) -> tuple:
 
 def _token_path(source: str):
     """What the parser makes of ``source`` reading every literal token by token."""
-    tokens = tokenize(source, literals=False)
-    parser = _Parser(source)
-    parser.toks = tokens
-    return parser.program()
+    with patch.object(_Parser, "bulk", return_value=None):
+        return lang.parse(source)
 
 
 def _assert_paths_agree(source: str):
@@ -267,9 +266,9 @@ def _assert_paths_agree(source: str):
 def test_fast_literal_path_agrees_with_the_token_path(case):
     source, fast = case
     _assert_paths_agree(source)
-    literal = [t for t in tokenize(source) if t.kind == "LITERAL"]
-    if fast:  # the fast path read it: one token, converted in bulk
-        assert len(literal) == 1 and _Parser(source).bulk(literal[0]) is not None
+    if fast:  # the fast path read it: the whole literal, converted in bulk
+        parser = _Parser(source)
+        assert parser.bulk(source.index("[")) is not None and parser.peek().text == "over"
 
 
 @pytest.mark.parametrize("source", [

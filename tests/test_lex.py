@@ -1,5 +1,5 @@
-"""The tokenizer: every token's position against a naive count, and the
-positions of lexical errors."""
+"""The tokenizer: every token's position against a naive count, where the
+parser ends a literal, and the positions of lexical errors."""
 
 from pathlib import Path
 
@@ -7,7 +7,9 @@ import pytest
 
 from ntensor import lang
 from ntensor.lang.lex import Positions, tokenize
+from ntensor.lang.parse import _Parser
 from ntensor.zoo import transformer_program
+from test_lang import _assert_paths_agree
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -38,9 +40,19 @@ def test_token_kinds():
     assert [(t.kind, t.text) for t in tokenize(source)] == [
         ("IDENT", "X'"), ("=", "="), ("IDENT", "sum"), ("{", "{"),
         ("IDENT", "a"), ("}", "}"), ("(", "("), ("IDENT", "Y"), (".{", ".{"),
-        ("IDENT", "b"), ("}", "}"), ("LITERAL", "[1.5e3, -inf]"), ("IDENT", "over"),
+        ("IDENT", "b"), ("}", "}"), ("[", "["), ("NUMBER", "1.5e3"), (",", ","), ("-", "-"),
+        ("IDENT", "inf"), ("]", "]"), ("IDENT", "over"),
         ("(", "("), ("IDENT", "b"), (")", ")"), (")", ")"), ("->", "->"), ("EOF", ""),
     ]
+
+
+# The literals the parser reads in bulk, each from a "[" of the source up to
+# the "]" that balances it; from every other "[" it reads token by token.
+READ_IN_BULK = {
+    "[[1]->": ["[1]"],
+    "[1] , [2]]": ["[1]", "[2]"],
+    "[[1, -\n 2], [inf, 3]] over": ["[inf, 3]"],
+}
 
 
 @pytest.mark.parametrize("source, kinds", [
@@ -49,23 +61,26 @@ def test_token_kinds():
     ("[+1]", ["[", "+", "NUMBER", "]"]),
     ("[1 e 5]", ["[", "NUMBER", "IDENT", "NUMBER", "]"]),
     ("[inf1]", ["[", "IDENT", "]"]),
-    # no balancing "]": the outer "[" is a symbol, the inner one a literal
-    ("[[1]->", ["[", "LITERAL", "->"]),
+    # no balancing "]"
+    ("[[1]->", ["[", "[", "NUMBER", "]", "->"]),
     ("X[a->b]", ["IDENT", "[", "IDENT", "->", "IDENT", "]"]),
     # a literal ends at its balancing "]"
-    ("[1] , [2]]", ["LITERAL", ",", "LITERAL", "]"]),
-    ("[[1, -\n 2], [inf, 3]] over", ["LITERAL", "IDENT"]),
+    ("[1] , [2]]", ["[", "NUMBER", "]", ",", "[", "NUMBER", "]", "]"]),
+    ("[[1, -\n 2], [inf, 3]] over",
+     ["[", "[", "NUMBER", ",", "-", "NUMBER", "]", ",", "[", "IDENT", ",", "NUMBER", "]",
+      "]", "IDENT"]),
 ])
 def test_literal_tokens_end_at_the_balancing_bracket(source, kinds):
-    tokens = tokenize(source)
-    assert [t.kind for t in tokens] == kinds + ["EOF"]
-    fine = tokenize(source, literals=False)
-    for tok in tokens:
-        if tok.kind == "LITERAL":  # it spans exactly the tokens it re-lexes to
-            spanned = [t for t in fine if tok.offset <= t.offset < tok.offset + len(tok.text)]
-            assert [(t.kind, t.text, t.offset - tok.offset) for t in spanned] == [
-                (t.kind, t.text, t.offset) for t in tokenize(tok.text, literals=False)[:-1]
-            ]
+    # the lexer splits a literal like any other text
+    assert [t.kind for t in tokenize(source)] == kinds + ["EOF"]
+    # the parser reads in bulk, or token by token, to the same program or error
+    read = []
+    for start in (i for i, c in enumerate(source) if c == "["):
+        parser = _Parser(source)
+        if parser.bulk(start) is not None:  # it lexes on from the balancing "]"
+            read.append(source[start:parser.peek().offset].rstrip())
+    assert read == READ_IN_BULK.get(source, [])
+    _assert_paths_agree("A = " + source)
 
 
 @pytest.mark.parametrize("source, line, col, char", [
