@@ -1,17 +1,24 @@
-"""Neural-network building blocks written against the named-tensor API.
+"""Neural-network building blocks, each written once as an ``autodiff`` graph.
 
 Axis names are fixed per block (``layer``, ``seq``, ``key``, ...); inputs
 may always carry extra axes (batch, heads, ...) and every block broadcasts
 over them without code changes.
+
+A block builds its graph from its operands: an ``ad.Expr`` operand is used
+as it is, and a tensor or number becomes a constant.  One rule,
+``_value_or_graph``, decides what it returns.  A graph that reads a
+variable is returned as it is, to be spliced or evaluated by the caller
+(``transformer_bindings`` and ``lenet`` build their models this way).  Any
+other graph is evaluated at once, with the axis sizes its constants carry,
+so a call on tensors returns a tensor, and raises the same errors as the
+``ops`` it runs.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .. import ops
-from ..axes import Axis
-from ..tensor import NamedTensor
+from .. import autodiff as ad
 
 __all__ = [
     "fullconn", "feedforward", "rnn_elman", "attention",
@@ -20,18 +27,35 @@ __all__ = [
 ]
 
 
-def fullconn(x, weights, bias, axis: str = "layer") -> NamedTensor:
+def _value_or_graph(graph):
+    """``graph`` (one ``Expr`` or a list of them) if it reads a variable,
+    else its value: a tensor, or a list of tensors."""
+    roots = graph if isinstance(graph, list) else [graph]
+    order = ad._topo(*roots)
+    if any(isinstance(node, ad.Var) for node in order):
+        return graph
+    sizes = {
+        axis.name: axis.size
+        for node in order if isinstance(node, ad.Const) for axis in node.value.shape
+    }
+    try:
+        values = list(ad.evaluate(dict(enumerate(roots)), axis_sizes=sizes).values())
+    except ad.ExprError as err:
+        raise err.error from None
+    return values if isinstance(graph, list) else values[0]
+
+
+def fullconn(x, weights, bias, axis: str = "layer"):
     """One dense layer in the shared-axis convention.
 
     ``weights`` maps ``axis`` to its primed copy; the output is renamed
     back so successive layers can reuse the same axis name.
     """
-    primed = axis + "'"
-    out = ops.sigmoid(ops.add(ops.contract(weights, x, [axis]), bias))
-    return ops.rename(out, primed, axis)
+    out = ad.sigmoid(ad.add(ad.contract(weights, x, [axis]), bias))
+    return _value_or_graph(ad.rename(out, axis + "'", axis))
 
 
-def feedforward(x, layers: Sequence) -> NamedTensor:
+def feedforward(x, layers: Sequence):
     """A stack of sigmoid dense layers; ``layers`` is (weights, bias) pairs."""
     h = x
     for weights, bias in layers:
@@ -45,95 +69,88 @@ def rnn_elman(inputs: Sequence, w_hidden, w_input, bias, h0) -> list:
     ``w_hidden`` is over {hidden, hidden'}, ``w_input`` over {inp, hidden'},
     ``bias`` over {hidden'}; each step renames hidden' back to hidden.
     """
-    states = [h0]
-    h = h0
+    h = h0 if isinstance(h0, ad.Expr) else ad.const(h0)
+    states = [h]
     for x in inputs:
-        pre = ops.add(
-            ops.add(
-                ops.contract(w_hidden, h, ["hidden"]),
-                ops.contract(w_input, x, ["inp"]),
+        pre = ad.add(
+            ad.add(
+                ad.contract(w_hidden, h, ["hidden"]),
+                ad.contract(w_input, x, ["inp"]),
             ),
             bias,
         )
-        h = ops.rename(ops.sigmoid(pre), "hidden'", "hidden")
+        h = ad.rename(ad.sigmoid(pre), "hidden'", "hidden")
         states.append(h)
-    return states
+    return _value_or_graph(states)
 
 
-def attention(query, keys, values, mask: Optional[NamedTensor] = None) -> NamedTensor:
+def attention(query, keys, values, mask=None):
     """Scaled dot-product attention over fixed axes key/seq/val.
 
     Extra axes on any argument (seq' on the query, heads, batch) broadcast;
     an additive mask of -inf entries blocks positions.
     """
-    scale = keys.shape.size("key") ** 0.5
-    scores = ops.div(ops.contract(query, keys, ["key"]), scale)
+    scores = ad.contract(query, keys, ["key"]) / ad.sqrt(ad.size_of("key"))
     if mask is not None:
-        scores = ops.add(scores, mask)
-    weights = ops.softmax(scores, ["seq"])
-    return ops.contract(weights, values, ["seq"])
+        scores = scores + mask
+    return _value_or_graph(ad.contract(ad.softmax(scores, ["seq"]), values, ["seq"]))
 
 
-def conv1d(x, weights, bias) -> NamedTensor:
+def conv1d(x, weights, bias):
     """1-d convolution: contract sliding windows of ``x`` against ``weights``.
 
     ``x`` is over {chans, seq}; ``weights`` over {chans, kernel} plus an
     optional output-channel axis; ``bias`` matches the output channels.
     """
-    kernel = Axis("kernel", weights.shape.size("kernel"))
-    windows = ops.unroll(x, "seq", kernel)
-    return ops.add(ops.contract(weights, windows, ["chans", "kernel"]), bias)
+    windows = ad.unroll(x, "seq", "kernel")
+    return _value_or_graph(ad.add(ad.contract(weights, windows, ["chans", "kernel"]), bias))
 
 
-def conv2d(x, weights, bias) -> NamedTensor:
-    """2-d convolution via unrolling height and width."""
-    kh = Axis("kh", weights.shape.size("kh"))
-    kw = Axis("kw", weights.shape.size("kw"))
-    windows = ops.unroll(ops.unroll(x, "width", kw), "height", kh)
-    return ops.add(ops.contract(weights, windows, ["chans", "kh", "kw"]), bias)
+def conv2d(x, weights, bias, kh: Optional[int] = None, kw: Optional[int] = None):
+    """2-d convolution via unrolling height and width.
+
+    The window is ``kh`` x ``kw``; a size left None is the one declared for
+    the axis, which tensor weights carry.
+    """
+    windows = ad.unroll(ad.unroll(x, "width", "kw", kw), "height", "kh", kh)
+    return _value_or_graph(ad.add(ad.contract(weights, windows, ["chans", "kh", "kw"]), bias))
 
 
-def maxpool1d(x, k: int) -> NamedTensor:
+def maxpool1d(x, k: int):
     """Non-overlapping max pooling along seq; |seq| must divide by k."""
-    n = x.shape.size("seq")
-    pooled = ops.split_axis(x, "seq", Axis("seq", n // k), Axis("kernel", k))
-    return ops.reduce(pooled, "max", ["kernel"])
+    return _value_or_graph(ad.max_(ad.split(x, "seq", "seq", "kernel", k), ["kernel"]))
 
 
-def maxpool2d(x, kh: int, kw: int) -> NamedTensor:
+def maxpool2d(x, kh: int, kw: int):
     """Non-overlapping max pooling over height and width blocks."""
-    h, w = x.shape.size("height"), x.shape.size("width")
-    pooled = ops.split_axis(x, "height", Axis("height", h // kh), Axis("kh", kh))
-    pooled = ops.split_axis(pooled, "width", Axis("width", w // kw), Axis("kw", kw))
-    return ops.reduce(pooled, "max", ["kh", "kw"])
+    pooled = ad.split(ad.split(x, "height", "height", "kh", kh), "width", "width", "kw", kw)
+    return _value_or_graph(ad.max_(pooled, ["kh", "kw"]))
 
 
-def _scale_shift(standardized, gamma, beta) -> NamedTensor:
-    return ops.add(ops.mul(standardized, gamma), beta)
+def _scale_shift(standardized, gamma, beta):
+    return _value_or_graph(ad.add(ad.mul(standardized, gamma), beta))
 
 
-def batchnorm(x, gamma, beta) -> NamedTensor:
+def batchnorm(x, gamma, beta):
     """Standardize over {batch, layer} per channel; gamma/beta over {chans}."""
-    return _scale_shift(ops.standardize(x, ["batch", "layer"]), gamma, beta)
+    return _scale_shift(ad.standardize(x, ["batch", "layer"]), gamma, beta)
 
 
-def instancenorm(x, gamma, beta) -> NamedTensor:
+def instancenorm(x, gamma, beta):
     """Standardize over {layer} per (batch, channel); gamma/beta over {chans}."""
-    return _scale_shift(ops.standardize(x, ["layer"]), gamma, beta)
+    return _scale_shift(ad.standardize(x, ["layer"]), gamma, beta)
 
 
-def layernorm(x, gamma, beta) -> NamedTensor:
+def layernorm(x, gamma, beta):
     """Standardize over {chans, layer} per batch; gamma/beta over {chans, layer}."""
-    return _scale_shift(ops.standardize(x, ["chans", "layer"]), gamma, beta)
+    return _scale_shift(ad.standardize(x, ["chans", "layer"]), gamma, beta)
 
 
-def groupnorm(x, gamma, beta, k: int) -> NamedTensor:
+def groupnorm(x, gamma, beta, k: int):
     """Pool channels into k-sized groups, standardize each group with layer.
 
     gamma/beta stay over the original {chans}.
     """
-    c = x.shape.size("chans")
-    grouped = ops.split_axis(x, "chans", Axis("chans", c // k), Axis("kernel", k))
-    standardized = ops.standardize(grouped, ["kernel", "layer"])
-    merged = ops.merge_axes(standardized, ["chans", "kernel"], Axis("chans", c))
-    return _scale_shift(merged, gamma, beta)
+    grouped = ad.split(x, "chans", "chans", "kernel", k)
+    standardized = ad.standardize(grouped, ["kernel", "layer"])
+    return _scale_shift(ad.merge(standardized, ["chans", "kernel"], "chans"), gamma, beta)

@@ -233,12 +233,6 @@ def _transformer(seed: int) -> float:
 
 
 LENET_SIZES = dict(batch=2, chans=1, image=14, c1=2, c2=3, kernel=3, hidden=8, classes=4)
-_LENET_AXES = dict(
-    conv1_w=["chans'", "chans", "kh", "kw"], conv1_b=["chans'"],
-    conv2_w=["chans'", "chans", "kh", "kw"], conv2_b=["chans'"],
-    dense_w=["hidden", "layer"], dense_b=["hidden"],
-    out_w=["classes", "hidden"], out_b=["classes"],
-)
 
 
 def build_lenet(seed: int, **overrides):
@@ -259,7 +253,7 @@ def build_lenet(seed: int, **overrides):
         out_b=rng.nested([sizes["classes"]]),
     )
     params = {name: NamedTensor.from_nested(plain[name], axes)
-              for name, axes in _LENET_AXES.items()}
+              for name, axes in models._LENET_PARAMS.items()}
     plain["pool"] = pool
     return x0, plain, params
 

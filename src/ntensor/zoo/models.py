@@ -1,8 +1,12 @@
 """Composed reference models: an autoregressive transformer LM and LeNet.
 
-The transformer is written once, as the ordered ``.nt`` bindings of
-``transformer_bindings``: ``transformer_lm`` splices them into one graph and
-evaluates it, and ``transformer_program`` prints them as a program.
+Both are graphs of the blocks in ``blocks``, built once and run with one
+``ad.evaluate`` call, which drops each value after its last reader.  The
+transformer is written as the ordered ``.nt`` bindings of
+``transformer_bindings``, whose attention is ``blocks.attention``:
+``transformer_lm`` splices them into one graph and evaluates it, and
+``transformer_program`` prints them as a program.  ``lenet`` evaluates one
+graph of ``conv2d`` and ``maxpool2d``, cached per convolution window.
 """
 
 from __future__ import annotations
@@ -13,11 +17,9 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 from .. import autodiff as ad
-from .. import ops
-from ..axes import Axis
 from ..lang import AxisDecl, Binding, Directive, Program, format_program
 from ..tensor import NamedTensor
-from .blocks import conv2d, maxpool2d
+from .blocks import attention, conv2d, maxpool2d
 
 __all__ = [
     "LENET_POOL", "positional_encoding", "causal_mask", "transformer_bindings",
@@ -91,13 +93,12 @@ def transformer_bindings(depth: int) -> List[Tuple[str, Optional[ad.Expr]]]:
             return v(f"{stem}{n}")
 
         prev = v(f"X{n - 1}")
-        scores = ad.contract(at("Q"), at("K"), ["key"]) / ad.sqrt(ad.size_of("key"))
         out += [(f"{stem}{n}", ad.random_literal(axes)) for stem, axes in _LAYER_PARAMS]
         out += [
             (f"Q{n}", ad.contract(at("WQ"), ad.rename(prev, "seq", "seq'"), ["layer"])),
             (f"K{n}", ad.contract(at("WK"), prev, ["layer"])),
             (f"V{n}", ad.contract(at("WV"), prev, ["layer"])),
-            (f"A{n}", ad.contract(ad.softmax(scores + v("M"), ["seq"]), at("V"), ["seq"])),
+            (f"A{n}", attention(at("Q"), at("K"), at("V"), v("M"))),
             (f"Y{n}", ad.contract(at("WO"), ad.rename(at("A"), "seq'", "seq"), ["heads", "val"])),
             (f"T{n}", ad.standardize(at("Y"), ["layer"]) * at("Gatt") + at("Batt") + prev),
             (f"H{n}", ad.relu(ad.contract(at("W1_"), at("T"), ["layer"]) + at("B1_"))),
@@ -186,31 +187,48 @@ def transformer_program(depth: int = 2, seq: int = 4, vocab: int = 7,
 
 LENET_POOL = 2  # each LeNet max-pool takes LENET_POOL x LENET_POOL blocks
 
-
-def _conv_layer(x, weights, bias) -> NamedTensor:
-    return ops.rename(conv2d(x, weights, bias), "chans'", "chans")
+# LeNet's parameters and their axes.
+_LENET_PARAMS = dict(
+    conv1_w=("chans'", "chans", "kh", "kw"), conv1_b=("chans'",),
+    conv2_w=("chans'", "chans", "kh", "kw"), conv2_b=("chans'",),
+    dense_w=("hidden", "layer"), dense_b=("hidden",),
+    out_w=("classes", "hidden"), out_b=("classes",),
+)
 
 
 def lenet(x0, params: Mapping[str, NamedTensor]) -> NamedTensor:
-    """Convolutional classifier over {batch, chans, height, width} inputs.
+    """Convolutional classifier over {batch, chans, height, width} inputs:
+    one graph of ``conv2d`` and ``maxpool2d`` blocks, evaluated as
+    ``transformer_lm`` is.
 
     ``params`` maps ``conv1_w`` {chans', chans, kh, kw}, ``conv1_b``
     {chans'}, ``conv2_w``, ``conv2_b`` (the same axes), ``dense_w``
     {hidden, layer}, ``dense_b`` {hidden}, ``out_w`` {classes, hidden} and
-    ``out_b`` {classes} to tensors.  The pooled feature map is flattened by
-    merging (height, width, chans) into a single layer axis before the
-    dense layers.
+    ``out_b`` {classes} to tensors; each convolution's window is read off
+    its weights, so the two may differ.  The pooled feature map is
+    flattened by merging (height, width, chans) into a single layer axis
+    before the dense layers.
     """
-    k = LENET_POOL
-    t1 = ops.relu(_conv_layer(x0, params["conv1_w"], params["conv1_b"]))
-    x1 = maxpool2d(t1, k, k)
-    t2 = ops.relu(_conv_layer(x1, params["conv2_w"], params["conv2_b"]))
-    pooled = maxpool2d(t2, k, k)
-    layer_size = params["dense_w"].shape.size("layer")
-    flat = ops.merge_axes(
-        pooled, ["height", "width", "chans"], Axis("layer", layer_size)
+    if set(params) != set(_LENET_PARAMS):
+        raise ValueError(
+            f"lenet parameters must be named {sorted(_LENET_PARAMS)}, got {sorted(params)}"
+        )
+    windows = tuple(
+        (params[w].shape.size("kh"), params[w].shape.size("kw")) for w in ("conv1_w", "conv2_w")
     )
-    dense = ops.contract(params["dense_w"], flat, ["layer"])
-    hidden = ops.relu(ops.add(dense, params["dense_b"]))
-    logits = ops.add(ops.contract(params["out_w"], hidden, ["hidden"]), params["out_b"])
-    return ops.softmax(logits, ["classes"])
+    return ad.evaluate(_lenet_graph(windows), dict(params, x0=x0))
+
+
+@functools.lru_cache(maxsize=8)
+def _lenet_graph(windows: Tuple[Tuple[int, int], ...]) -> ad.Expr:
+    """LeNet's graph over the variable ``x0`` and its parameters, built
+    once per (kh, kw) window of each convolution."""
+    v, k = ad.var, LENET_POOL
+    x = v("x0")
+    for n, (kh, kw) in enumerate(windows, 1):
+        conv = conv2d(x, v(f"conv{n}_w"), v(f"conv{n}_b"), kh, kw)
+        x = maxpool2d(ad.relu(ad.rename(conv, "chans'", "chans")), k, k)
+    flat = ad.merge(x, ["height", "width", "chans"], "layer")
+    hidden = ad.relu(ad.contract(v("dense_w"), flat, ["layer"]) + v("dense_b"))
+    logits = ad.contract(v("out_w"), hidden, ["hidden"]) + v("out_b")
+    return ad.softmax(logits, ["classes"])
