@@ -16,7 +16,8 @@ after each call.  ntensor takes the steady time.
 ``with`` block and then restores it.  The count is process-wide, so BLAS
 calls made by other Python threads inside the block also run on one thread.
 When numpy's BLAS is not the OpenBLAS bundled with its wheels, the block
-does nothing.
+does nothing.  ``core_name()`` names the CPU core whose kernels OpenBLAS
+runs: each core's kernels round in their own order.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import os
 
 import numpy as np
 
-# Name suffixes of the thread-count functions in numpy's scipy-openblas
-# builds: 64-bit integers, then 32-bit.
+# Name suffixes of the functions in numpy's scipy-openblas builds: 64-bit
+# integers, then 32-bit.
 _SUFFIXES = ("64_", "")
 
 
-def _openblas_threads():
-    """The get/set thread-count functions of the OpenBLAS numpy has loaded,
-    or ``None``."""
+def _openblas():
+    """The OpenBLAS numpy has loaded and the name suffix of its functions,
+    or ``(None, "")``."""
     root = os.path.dirname(np.__file__)
     paths = glob.glob(os.path.join(root + ".libs", "*openblas*"))
     paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
@@ -45,16 +46,31 @@ def _openblas_threads():
         except OSError:
             continue
         for suffix in _SUFFIXES:
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                return lib, suffix
+    return None, ""
 
 
-_THREADS = _openblas_threads()
+def _function(name: str, restype, *argtypes):
+    """The loaded OpenBLAS's ``scipy_openblas_<name>``, or ``None``."""
+    fn = getattr(_LIB, f"scipy_openblas_{name}{_SUFFIX}", None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+_LIB, _SUFFIX = _openblas()
+_THREADS = (_function("get_num_threads", ctypes.c_int),
+            _function("set_num_threads", None, ctypes.c_int))
+if None in _THREADS:
+    _THREADS = None
+
+
+def core_name():
+    """The CPU core OpenBLAS picked its kernels for (such as ``SkylakeX`` or
+    ``Haswell``), or ``None`` when numpy's BLAS is not its OpenBLAS."""
+    get = _function("get_corename", ctypes.c_char_p)
+    return None if get is None else get().decode()
 
 
 class one_thread:

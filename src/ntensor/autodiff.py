@@ -15,12 +15,13 @@ share a class, then the operands, then the parameters, so most classes are
 their own builders (``contract = Contract``).  An operand given as a tensor
 or a number is wrapped as a constant.  :class:`Expr` derives children,
 equality and :meth:`Expr.with_children` from that declaration.  A node
-whose ``kernel`` names an :mod:`ntensor.ops` function evaluates as that
-kernel applied to its operand values and then its parameters, and infers
-its shape through the kernel's shape rule (``<kernel>_shape`` unless
-``rule`` names another); both are looked up on the ``ops`` module at call
-time.  Beyond its fields, a node class holds only real shape or kernel glue
-and its VJP rule.
+with operands names its :mod:`ntensor.ops` operation when this module is
+imported (``operation``, or ``OPS`` by the parameter that picks it), and
+the operation's ``rule`` is the node's shape inference.  Its value is the
+operation's ``kernel`` on its operand values and parameters, given the
+shape the rule returns: a walk calls the two directly, not the public
+function, and runs whole under one ``np.errstate(all="ignore")``.  Beyond
+its fields, a node class holds only real parameter glue and its VJP rule.
 
 Random literals (``random over (axes)``) have a shape but no values here:
 :mod:`ntensor.lang` replaces them with seeded constants as it splices,
@@ -116,11 +117,10 @@ class Expr:
     ``tuple`` are stored as tuples.
     """
 
-    kernel: Optional[str] = None  # name of the ops function computing the node
-    rule: Optional[str] = None  # its shape rule's name, if not kernel + "_shape"
-    # For a node whose first parameter picks its kernel: {parameter value:
-    # kernel name}.  That parameter is then not passed to the kernel.
-    OPS: Optional[Mapping[str, str]] = None
+    operation = None  # the ops function whose rule and kernel the node runs
+    # For a node whose first parameter picks its operation: {parameter
+    # value: ops function}.  That parameter is then not passed to it.
+    OPS: Optional[Mapping[str, Callable]] = None
     span = None  # (line, col), set by the language parser
 
     def __init_subclass__(cls, **kwargs):
@@ -138,7 +138,7 @@ class Expr:
             which = getattr(self, self._params[0])
             if which not in self.OPS:
                 raise ValueError(f"unknown {type(self).__name__} op {which!r}")
-            self.kernel = self.OPS[which]
+            self.operation = self.OPS[which]
         kids = tuple([getattr(self, name) for name in self._operands])
         for kid in kids:
             if not isinstance(kid, Expr):  # the common all-Expr case skips this
@@ -165,18 +165,23 @@ class Expr:
         return new
 
     def _args(self, shape: Shape, sizes) -> tuple:
-        """The static arguments the kernel and its shape rule take after the
-        operands; ``shape`` is the first operand's."""
+        """The static arguments the operation takes besides its operands;
+        ``shape`` is the first operand's."""
         key = self._key()
         return key[1:] if self.OPS is not None else key
 
+    def _call(self, kids, args) -> tuple:
+        """The operation's arguments in its order, given the operands'
+        shapes or values ``kids`` and the static arguments ``args``."""
+        return (*kids, *args)
+
     def _infer(self, child_shapes, sizes, env) -> Shape:
-        rule = getattr(ops, self.rule or self.kernel + "_shape")
-        return rule(*child_shapes, *self._args(child_shapes[0], sizes))
+        return self.operation.rule(*self._call(child_shapes, self._args(child_shapes[0], sizes)))
 
     def _eval(self, child_values, sizes, env) -> NamedTensor:
-        args = self._args(child_values[0].shape, sizes)
-        return getattr(ops, self.kernel)(*child_values, *args)
+        op, args = self.operation, self._args(child_values[0].shape, sizes)
+        out = op.rule(*self._call([v.shape for v in child_values], args))
+        return op.kernel(out, *self._call(child_values, args))
 
     def _grads(self, g: NamedTensor, child_values, value: NamedTensor,
                need: Sequence[bool]):
@@ -335,13 +340,10 @@ def _fresh(name: str, taken: set) -> str:
 # elementwise nodes
 
 class Unary(Expr):
-    OPS = {"neg": "neg", "relu": "relu", "sigma": "sigmoid",
-           "exp": "exp", "log": "log", "sqrt": "sqrt"}
+    OPS = {"neg": ops.neg, "relu": ops.relu, "sigma": ops.sigmoid,
+           "exp": ops.exp, "log": ops.log, "sqrt": ops.sqrt}
     op: str
     child: Expr
-
-    def _infer(self, child_shapes, sizes, env):
-        return child_shapes[0]
 
     def _grads(self, g, child_values, value, need):
         (x,) = child_values
@@ -360,8 +362,7 @@ class Unary(Expr):
 
 
 class Binary(Expr):
-    OPS = {"add": "add", "sub": "sub", "mul": "mul", "div": "div", "pow": "pow_"}
-    rule = "binary_shape"
+    OPS = {"add": ops.add, "sub": ops.sub, "mul": ops.mul, "div": ops.div, "pow": ops.pow_}
     op: str
     a: Expr
     b: Expr
@@ -389,7 +390,7 @@ class Binary(Expr):
 # reductions and contraction
 
 class Reduce(Expr):
-    kernel = "reduce"
+    operation = staticmethod(ops.reduce)
     child: Expr
     red: str
     axes: tuple
@@ -439,7 +440,7 @@ def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndar
 
 
 class Contract(Expr):
-    kernel = "contract"
+    operation = staticmethod(ops.contract)
     a: Expr
     b: Expr
     axes: tuple
@@ -456,7 +457,7 @@ class Contract(Expr):
 
 
 class Softmax(Expr):
-    kernel = "softmax"
+    operation = staticmethod(ops.softmax)
     child: Expr
     axes: tuple
 
@@ -467,8 +468,7 @@ class Softmax(Expr):
 
 
 class ArgExtremum(Expr):
-    OPS = {"argmax": "argmax", "argmin": "argmin"}
-    rule = "softmax_shape"
+    OPS = {"argmax": ops.argmax, "argmin": ops.argmin}
     which: str
     child: Expr
     axes: tuple
@@ -478,7 +478,7 @@ class ArgExtremum(Expr):
 
 
 class Standardize(Expr):
-    kernel = "standardize"
+    operation = staticmethod(ops.standardize)
     child: Expr
     axes: tuple
 
@@ -500,7 +500,7 @@ class Standardize(Expr):
 # structural nodes
 
 class Rename(Expr):
-    kernel = "rename"
+    operation = staticmethod(ops.rename)
     child: Expr
     old: str
     new: str
@@ -510,8 +510,7 @@ class Rename(Expr):
 
 
 class Merge(Expr):
-    kernel = "merge_axes"
-    rule = "merge_shape"
+    operation = staticmethod(ops.merge_axes)
     child: Expr
     parts: tuple
     merged_name: str
@@ -531,8 +530,7 @@ class Merge(Expr):
 
 
 class Split(Expr):
-    kernel = "split_axis"
-    rule = "split_shape"
+    operation = staticmethod(ops.split_axis)
     child: Expr
     src: str
     outer_name: str
@@ -554,7 +552,7 @@ class Split(Expr):
 
 
 class Unroll(Expr):
-    kernel = "unroll"
+    operation = staticmethod(ops.unroll)
     child: Expr
     seq: str
     kernel_name: str
@@ -582,15 +580,13 @@ class Unroll(Expr):
 
 
 class IndexSelect(Expr):
+    operation = staticmethod(ops.index_select)
     a: Expr
     ax: str
     indices: Expr
 
-    def _infer(self, child_shapes, sizes, env):
-        return ops.index_select_shape(child_shapes[0], self.ax, child_shapes[1])
-
-    def _eval(self, child_values, sizes, env):
-        return ops.index_select(child_values[0], self.ax, child_values[1])
+    def _call(self, kids, args):
+        return (kids[0], *args, kids[1])
 
     def _grads(self, g, child_values, value, need):
         a, idx = child_values
@@ -608,7 +604,7 @@ class TopK(Expr):
     """The k largest values along an axis (``maxk``), or one-hot selectors
     for them (``argmaxk``)."""
 
-    OPS = {"maxk": "maxk", "argmaxk": "argmaxk"}
+    OPS = {"maxk": ops.maxk, "argmaxk": ops.argmaxk}
     which: str
     child: Expr
     ax: str
@@ -629,7 +625,7 @@ class TopK(Expr):
 class LinAlg(Expr):
     """Determinant (``det``) or inverse (``inv``) over a (rows, cols) matrix."""
 
-    OPS = {"det": "det", "inv": "inv"}
+    OPS = {"det": ops.det, "inv": ops.inv}
     which: str
     child: Expr
     rows: str
@@ -642,7 +638,7 @@ class LinAlg(Expr):
 
 
 class PartialIndex(Expr):
-    kernel = "partial_index"
+    operation = staticmethod(ops.partial_index)
     child: Expr
     bindings: Record
 
@@ -840,7 +836,7 @@ def splice(bindings: Iterable[Tuple[str, Optional[Expr]]],
 
 def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
     """The shape ``e`` evaluates to, given variable shapes (or tensors)."""
-    _, shapes = _forward([e], env or {}, axis_sizes, "_infer", root_only=True)
+    _, shapes = _forward([e], env or {}, axis_sizes, infer=True, root_only=True)
     return shapes[id(e)]
 
 
@@ -848,37 +844,39 @@ def infer_shape(e: Expr, env=None, *, axis_sizes=None) -> Shape:
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
-def _forward(roots: Sequence[Expr], env, sizes, step: str = "_eval", root_only: bool = False):
-    """Apply ``node._eval`` (or ``step``) to every node, children first.
+def _forward(roots: Sequence[Expr], env, sizes, infer: bool = False, root_only: bool = False):
+    """Evaluate every node, children first, or with ``infer`` infer its shape.
 
     Returns the ``_topo`` order of ``roots`` and each node's result by
     ``id`` (with ``root_only``, each node but a root is dropped after its
     last reader); an error is re-raised as an :class:`ExprError` naming the
     node that raised it.  An inferred shape with more entries than a numpy
-    array can hold is a :class:`ShapeError`.
+    array can hold is a :class:`ShapeError`.  The walk runs under one
+    ``np.errstate(all="ignore")``: kernels follow IEEE arithmetic.
     """
     order = _topo(*roots)
     last = {id(c): node for node in order for c in node.children()} if root_only else {}
     for root in roots:
         last.pop(id(root), None)
-    sized = step == "_infer"
     out: dict = {}
-    for node in order:
-        try:
-            kids = [out[id(c)] for c in node.children()]
-            res = out[id(node)] = getattr(node, step)(kids, sizes, env)
-            if sized and math.prod(res.sizes) > _MAX_ENTRIES:
-                raise ShapeError(
-                    f"{res} has {math.prod(res.sizes)} entries, more than "
-                    f"the {_MAX_ENTRIES} a numpy array can hold"
-                )
-        except ExprError:
-            raise
-        except NamedTensorError as err:
-            raise ExprError(node, err) from err
-        for c in node.children():
-            if last.get(id(c)) is node:
-                out.pop(id(c), None)
+    with np.errstate(all="ignore"):
+        for node in order:
+            try:
+                kids = [out[id(c)] for c in node.children()]
+                step = node._infer if infer else node._eval
+                res = out[id(node)] = step(kids, sizes, env)
+                if infer and math.prod(res.sizes) > _MAX_ENTRIES:
+                    raise ShapeError(
+                        f"{res} has {math.prod(res.sizes)} entries, more than "
+                        f"the {_MAX_ENTRIES} a numpy array can hold"
+                    )
+            except ExprError:
+                raise
+            except NamedTensorError as err:
+                raise ExprError(node, err) from err
+            for c in node.children():
+                if last.get(id(c)) is node:
+                    out.pop(id(c), None)
     return order, out
 
 

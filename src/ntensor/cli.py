@@ -6,9 +6,9 @@ Subcommands: ``check`` (static diagnostics, exit 0 iff clean), ``eval``
 fixtures against their loop oracles).
 
 Exit codes: 0 on success; 1 for diagnostics, a failed fixture, a file
-that cannot be read or decoded, or a reported error; 2 for a usage error;
-3 for an internal error, printed as one ``error: internal: <Type>:
-<message>`` line instead of a traceback.
+that cannot be read or decoded, or a reported error; 2 for a usage error,
+such as a ``--seed`` outside 0..2**64-1; 3 for an internal error, printed
+as one ``error: internal: <Type>: <message>`` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    if not 0 <= getattr(args, "seed", 0) < 2**64:  # SplitMix64 reads a seed modulo 2**64
+        parser.error(f"argument --seed: {args.seed} is outside 0..{2**64 - 1}")
     handler = {
         "check": _cmd_check,
         "eval": _cmd_eval,

@@ -74,7 +74,7 @@ class TensorFunction:
                 f"{len(self.input_shapes)} inputs"
             )
         env = dict(zip(self.params, self.input_shapes))
-        _, shapes = ad._forward([self.body], env, None, "_infer")
+        _, shapes = ad._forward([self.body], env, None, infer=True)
         if shapes[id(self.body)] != self.output_shape:
             raise ShapeMismatch(
                 f"base function {self.name} has shape {shapes[id(self.body)]}, "

@@ -5,19 +5,22 @@ extension: axes not consumed by the operation are carried through unchanged,
 slice by slice.  Binary operations broadcast along absent names only; a
 shared name must have the same size on both operands or the call fails.
 
-Each operation, partial indexing by a record included, is defined here
-once: its kernel and its companion shape rule, which validates operand
-shapes and returns the result shape without touching any values.  A rule
-is named after its operation (``merge_shape`` for ``merge_axes``); the
-binary ops share ``binary_shape``, ``argmax``/``argmin`` use
-``softmax_shape``, and the elementwise unary ops keep their operand's shape
-and need none.  The rules are the single source of truth for the static
-shape checker, so a program that passes checking cannot fail at runtime
-for shape reasons.
+Each operation, partial indexing by a record included, is declared here
+once, by :func:`_op`, as its shape rule and its kernel.  The rule validates
+operand shapes and returns the result shape without touching any values;
+the kernel computes the values of that shape.  The public function derived
+from the pair runs the kernel under one ``np.errstate(all="ignore")``, so
+kernels follow IEEE arithmetic without a warning, and reads ``kernel`` off
+itself as an :mod:`ntensor.autodiff` walk does.  Binary ops share
+``binary_shape``, elementwise unary ops ``unary_shape``, and
+``argmax``/``argmin`` use ``softmax_shape``.  The rules are the single
+source of truth for the static shape checker, so a program that passes
+checking cannot fail at runtime for shape reasons.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -44,7 +47,7 @@ __all__ = [
     "rename", "rename_many", "merge_axes", "split_axis", "unroll",
     "index_select", "maxk", "argmaxk", "det", "inv", "standardize",
     "identity", "identity_shape", "partial_index", "partial_index_shape",
-    "binary_shape", "reduce_shape", "contract_shape", "softmax_shape",
+    "binary_shape", "unary_shape", "reduce_shape", "contract_shape", "softmax_shape",
     "rename_shape", "rename_many_shape", "merge_shape", "split_shape", "unroll_shape",
     "index_select_shape", "maxk_shape", "argmaxk_shape",
     "det_shape", "inv_shape", "standardize_shape",
@@ -53,6 +56,34 @@ __all__ = [
 REDUCE_KINDS = ("sum", "min", "max", "mean", "var", "norm")
 
 PIVOT_RTOL = 1e-12
+
+
+def _op(rule: Callable[..., Shape]) -> Callable[[Callable], Callable]:
+    """Declare an operation by its shape rule and its kernel.
+
+    The public function is generated from the kernel's parameters after
+    ``out``, as :mod:`dataclasses` generates ``__init__``, so its signature
+    and argument errors are those of a written function.  Each parameter
+    annotated ``NamedTensor`` is an operand: it is coerced by
+    :func:`as_tensor`, and the rule takes its shape in its place.
+    """
+
+    def declare(kernel: Callable) -> Callable:
+        params = list(inspect.signature(kernel).parameters.values())[1:]
+        args = ", ".join(p.name for p in params)
+        operands = [p.name for p in params if p.annotation == "NamedTensor"]
+        shapes = ", ".join(p.name + ".shape" * (p.name in operands) for p in params)
+        source = (f"def {kernel.__name__}({args}):\n"
+                  + "".join(f"    {name} = as_tensor({name})\n" for name in operands)
+                  + f"    out = rule({shapes})\n    with np.errstate(all='ignore'):\n"
+                  + f"        return public.kernel(out, {args})\n")
+        scope = {"__name__": __name__, "as_tensor": as_tensor, "np": np, "rule": rule}
+        exec(compile(source, f"<ntensor.ops.{kernel.__name__}>", "exec"), scope)
+        public = scope["public"] = scope[kernel.__name__]
+        public.__doc__, public.rule, public.kernel = kernel.__doc__, rule, kernel
+        return public
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -106,67 +137,70 @@ def binary_shape(sa: Shape, sb: Shape) -> Shape:
     return sa.union(sb)
 
 
-def _binary(op: Callable, a, b) -> NamedTensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = binary_shape(a.shape, b.shape)
-    with np.errstate(all="ignore"):
-        return NamedTensor._own(out, op(_expanded(a, out), _expanded(b, out)))
+@_op(binary_shape)
+def add(out, a: NamedTensor, b: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.add(_expanded(a, out), _expanded(b, out)))
 
 
-def add(a, b) -> NamedTensor:
-    return _binary(np.add, a, b)
+@_op(binary_shape)
+def sub(out, a: NamedTensor, b: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.subtract(_expanded(a, out), _expanded(b, out)))
 
 
-def sub(a, b) -> NamedTensor:
-    return _binary(np.subtract, a, b)
-
-
-def mul(a, b) -> NamedTensor:
+@_op(binary_shape)
+def mul(out, a: NamedTensor, b: NamedTensor) -> NamedTensor:
     """Elementwise product with broadcast: contraction over zero axes."""
-    return _binary(np.multiply, a, b)
+    return NamedTensor._own(out, np.multiply(_expanded(a, out), _expanded(b, out)))
 
 
-def div(a, b) -> NamedTensor:
-    return _binary(np.true_divide, a, b)
+@_op(binary_shape)
+def div(out, a: NamedTensor, b: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.true_divide(_expanded(a, out), _expanded(b, out)))
 
 
-def pow_(a, b) -> NamedTensor:
-    return _binary(np.power, a, b)
+@_op(binary_shape)
+def pow_(out, a: NamedTensor, b: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.power(_expanded(a, out), _expanded(b, out)))
 
 
-def _unary(f: Callable, a) -> NamedTensor:
-    a = as_tensor(a)
-    with np.errstate(all="ignore"):
-        return NamedTensor._own(a.shape, f(a.array))
+def unary_shape(s: Shape) -> Shape:
+    return s
 
 
-def neg(a) -> NamedTensor:
-    return _unary(np.negative, a)
+@_op(unary_shape)
+def neg(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.negative(a.array))
 
 
-def map_elementwise(f: Callable[[float], float], a) -> NamedTensor:
+@_op(lambda f, s: s)
+def map_elementwise(out, f: Callable[[float], float], a: NamedTensor) -> NamedTensor:
     """Apply an arbitrary scalar function to every entry."""
-    return _unary(np.vectorize(f, otypes=[np.float64]), a)
+    return NamedTensor._own(out, np.vectorize(f, otypes=[np.float64])(a.array))
 
 
-def relu(a) -> NamedTensor:
-    return _unary(lambda x: np.maximum(x, 0.0), a)
+@_op(unary_shape)
+def relu(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.maximum(a.array, 0.0))
 
 
-def sigmoid(a) -> NamedTensor:
-    return _unary(lambda x: 1.0 / (1.0 + np.exp(-x)), a)
+@_op(unary_shape)
+def sigmoid(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, 1.0 / (1.0 + np.exp(-a.array)))
 
 
-def exp(a) -> NamedTensor:
-    return _unary(np.exp, a)
+@_op(unary_shape)
+def exp(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.exp(a.array))
 
 
-def log(a) -> NamedTensor:
-    return _unary(np.log, a)
+@_op(unary_shape)
+def log(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.log(a.array))
 
 
-def sqrt(a) -> NamedTensor:
-    return _unary(np.sqrt, a)
+@_op(unary_shape)
+def sqrt(out, a: NamedTensor) -> NamedTensor:
+    return NamedTensor._own(out, np.sqrt(a.array))
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +213,34 @@ def reduce_shape(s: Shape, kind: str, axes: Sequence[str]) -> Shape:
     return s.drop(axes)
 
 
-def reduce(a, kind: str, axes: Sequence[str]) -> NamedTensor:
+@_op(reduce_shape)
+def reduce(out, a: NamedTensor, kind: str, axes: Sequence[str]) -> NamedTensor:
     """Joint reduction over the given axes: sum, min, max, mean, var, or norm.
 
     ``var`` is the population variance (1/n); ``norm`` is the 2-norm.
     Reducing over an empty axis list treats each entry as its own fiber.
     """
-    a = as_tensor(a)
-    out_shape = reduce_shape(a.shape, kind, axes)
     if not axes:
         if kind == "var":
-            return NamedTensor._own(a.shape, np.zeros(a.shape.sizes))
+            return NamedTensor._own(out, np.zeros(out.sizes))
         if kind == "norm":
-            return NamedTensor._own(a.shape, np.abs(a.array))
+            return NamedTensor._own(out, np.abs(a.array))
         return a
     pos = _axis_positions(a.shape, axes)
     arr = a.array
-    with np.errstate(all="ignore"):
-        if kind == "sum":
-            out = arr.sum(axis=pos)
-        elif kind == "min":
-            out = arr.min(axis=pos)
-        elif kind == "max":
-            out = arr.max(axis=pos)
-        elif kind == "mean":
-            out = arr.mean(axis=pos)
-        elif kind == "var":
-            out = arr.var(axis=pos)
-        else:  # norm
-            out = np.sqrt((arr * arr).sum(axis=pos))
-    return NamedTensor._own(out_shape, out)
+    if kind == "sum":
+        res = arr.sum(axis=pos)
+    elif kind == "min":
+        res = arr.min(axis=pos)
+    elif kind == "max":
+        res = arr.max(axis=pos)
+    elif kind == "mean":
+        res = arr.mean(axis=pos)
+    elif kind == "var":
+        res = arr.var(axis=pos)
+    else:  # norm
+        res = np.sqrt((arr * arr).sum(axis=pos))
+    return NamedTensor._own(out, res)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +252,8 @@ def contract_shape(sa: Shape, sb: Shape, axes: Sequence[str]) -> Shape:
     return union.drop(axes)
 
 
-def contract(a, b, axes: Sequence[str]) -> NamedTensor:
+@_op(contract_shape)
+def contract(out, a: NamedTensor, b: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """Elementwise product, then summation over the named axes.
 
     With an empty axis list this is the plain (broadcasting) elementwise
@@ -234,27 +267,24 @@ def contract(a, b, axes: Sequence[str]) -> NamedTensor:
     bits of a result may differ from ``reduce(mul(a, b), "sum", axes)``.
     The matmul runs on one BLAS thread (``_blas.one_thread``).
     """
-    a, b = as_tensor(a), as_tensor(b)
-    out_shape = contract_shape(a.shape, b.shape, axes)
     if not axes:
-        return _binary(np.multiply, a, b)
+        return NamedTensor._own(out, np.multiply(_expanded(a, out), _expanded(b, out)))
     summed = set(axes)
     in_a, in_b = set(a.shape.names), set(b.shape.names)
-    with np.errstate(all="ignore"):
-        x, xn = _sum_alone(a, in_b, summed)
-        y, yn = _sum_alone(b, in_a, summed)
-        batch = [n for n in xn if n in in_b and n not in summed]
-        inner = [n for n in xn if n in summed]
-        free_a = [n for n in xn if n not in in_b]
-        free_b = [n for n in yn if n not in in_a]
-        x = x.transpose([xn.index(n) for n in batch + free_a + inner])
-        y = y.transpose([yn.index(n) for n in batch + inner + free_b])
-        lead = x.shape[: len(batch) + len(free_a)]  # (batch, free in a) sizes
-        nb, nk = math.prod(lead[: len(batch)]), math.prod(x.shape[len(lead):])
-        with one_thread():
-            prod = np.matmul(x.reshape(nb, -1, nk), y.reshape(nb, nk, -1))
+    x, xn = _sum_alone(a, in_b, summed)
+    y, yn = _sum_alone(b, in_a, summed)
+    batch = [n for n in xn if n in in_b and n not in summed]
+    inner = [n for n in xn if n in summed]
+    free_a = [n for n in xn if n not in in_b]
+    free_b = [n for n in yn if n not in in_a]
+    x = x.transpose([xn.index(n) for n in batch + free_a + inner])
+    y = y.transpose([yn.index(n) for n in batch + inner + free_b])
+    lead = x.shape[: len(batch) + len(free_a)]  # (batch, free in a) sizes
+    nb, nk = math.prod(lead[: len(batch)]), math.prod(x.shape[len(lead):])
+    with one_thread():
+        prod = np.matmul(x.reshape(nb, -1, nk), y.reshape(nb, nk, -1))
     dims = lead + y.shape[len(batch) + len(inner):]
-    return NamedTensor._own(out_shape, prod.reshape(dims), batch + free_a + free_b)
+    return NamedTensor._own(out, prod.reshape(dims), batch + free_a + free_b)
 
 
 def _sum_alone(t: NamedTensor, other: set, summed: set) -> tuple:
@@ -275,7 +305,8 @@ def softmax_shape(s: Shape, axes: Sequence[str]) -> Shape:
     return s
 
 
-def softmax(a, axes: Sequence[str]) -> NamedTensor:
+@_op(softmax_shape)
+def softmax(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """Softmax over the joint record space of the given axes.
 
     Entries of ``-inf`` contribute zero mass (mask semantics); a fiber that
@@ -283,37 +314,34 @@ def softmax(a, axes: Sequence[str]) -> NamedTensor:
     ``+inf`` is NaN throughout (``+inf - +inf`` is NaN).  Computation
     subtracts the fiber maximum for stability.
     """
-    a = as_tensor(a)
-    out_shape = softmax_shape(a.shape, axes)
     pos = _axis_positions(a.shape, axes)
     arr = a.array
     m = arr.max(axis=pos, keepdims=True)
     if np.any(np.isneginf(m)):
         raise AllMasked(f"softmax over {list(axes)}: a fiber is entirely -inf")
-    with np.errstate(all="ignore"):
-        e = np.exp(arr - m)
-        return NamedTensor._own(out_shape, e / e.sum(axis=pos, keepdims=True))
+    e = np.exp(arr - m)
+    return NamedTensor._own(out, e / e.sum(axis=pos, keepdims=True))
 
 
-def _extremum_mass(a, axes, minimize: bool) -> NamedTensor:
-    a = as_tensor(a)
-    out_shape = softmax_shape(a.shape, axes)
+def _extremum_mass(out: Shape, a: NamedTensor, axes, minimize: bool) -> NamedTensor:
     pos = _axis_positions(a.shape, axes)
     arr = a.array
     m = arr.min(axis=pos, keepdims=True) if minimize else arr.max(axis=pos, keepdims=True)
     mask = (arr == m).astype(np.float64)
-    with np.errstate(invalid="ignore"):  # a NaN fiber has no extremum: 0/0
-        return NamedTensor._own(out_shape, mask / mask.sum(axis=pos, keepdims=True))
+    # a NaN fiber has no extremum: 0/0
+    return NamedTensor._own(out, mask / mask.sum(axis=pos, keepdims=True))
 
 
-def argmax(a, axes: Sequence[str]) -> NamedTensor:
+@_op(softmax_shape)
+def argmax(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """Uniform mass over the tied maxima of each fiber, zero elsewhere."""
-    return _extremum_mass(a, axes, minimize=False)
+    return _extremum_mass(out, a, axes, minimize=False)
 
 
-def argmin(a, axes: Sequence[str]) -> NamedTensor:
+@_op(softmax_shape)
+def argmin(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """Uniform mass over the tied minima of each fiber, zero elsewhere."""
-    return _extremum_mass(a, axes, minimize=True)
+    return _extremum_mass(out, a, axes, minimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +354,9 @@ def rename_shape(s: Shape, old: str, new: str) -> Shape:
     return Shape(Axis(new if ax.name == old else ax.name, ax.size) for ax in s)
 
 
-def rename(a, old: str, new: str) -> NamedTensor:
+@_op(rename_shape)
+def rename(out, a: NamedTensor, old: str, new: str) -> NamedTensor:
     """Relabel one axis; values are untouched."""
-    a = as_tensor(a)
-    out = rename_shape(a.shape, old, new)
     return NamedTensor._own(out, a.array, [new if n == old else n for n in a.shape.names])
 
 
@@ -342,10 +369,9 @@ def rename_many_shape(s: Shape, mapping: Mapping[str, str]) -> Shape:
     return Shape(Axis(n, size) for n, size in zip(new_names, s.sizes))
 
 
-def rename_many(a, mapping: Mapping[str, str]) -> NamedTensor:
+@_op(rename_many_shape)
+def rename_many(out, a: NamedTensor, mapping: Mapping[str, str]) -> NamedTensor:
     """Relabel several axes at once; new names must be fresh as a set."""
-    a = as_tensor(a)
-    out = rename_many_shape(a.shape, mapping)
     return NamedTensor._own(out, a.array, [mapping.get(n, n) for n in a.shape.names])
 
 
@@ -363,15 +389,14 @@ def merge_shape(s: Shape, parts: Sequence[str], merged: Axis) -> Shape:
     return rest.union(Shape([merged]))
 
 
-def merge_axes(a, parts: Sequence[str], merged: Axis) -> NamedTensor:
+@_op(merge_shape)
+def merge_axes(out, a: NamedTensor, parts: Sequence[str], merged: Axis) -> NamedTensor:
     """Reshape several axes into one.
 
     The new axis enumerates the parts in the order listed, last part
     fastest, so ``merge_axes(split_axis(a, src, outer, inner), [outer,
     inner], src_axis)`` is the identity.
     """
-    a = as_tensor(a)
-    out = merge_shape(a.shape, parts, merged)
     names = a.shape.names
     kept = [n for n in names if n not in parts]
     perm = [names.index(n) for n in kept] + [names.index(p) for p in parts]
@@ -392,14 +417,13 @@ def split_shape(s: Shape, src: str, outer: Axis, inner: Axis) -> Shape:
     return rest.union(Shape([outer, inner]))
 
 
-def split_axis(a, src: str, outer: Axis, inner: Axis) -> NamedTensor:
+@_op(split_shape)
+def split_axis(out, a: NamedTensor, src: str, outer: Axis, inner: Axis) -> NamedTensor:
     """Reshape one axis into (outer, inner): source index (i-1)*|inner| + j.
 
     ``outer`` may reuse the source name, which makes this exactly the
     pooling reshape.
     """
-    a = as_tensor(a)
-    out = split_shape(a.shape, src, outer, inner)
     at = a.shape.names.index(src)
     names = a.shape.names[:at] + (outer.name, inner.name) + a.shape.names[at + 1 :]
     dims = a.shape.sizes[:at] + (outer.size, inner.size) + a.shape.sizes[at + 1 :]
@@ -416,10 +440,9 @@ def unroll_shape(s: Shape, seq: str, kernel: Axis) -> Shape:
     return out.union(Shape([Axis(seq, n - kernel.size + 1), kernel]))
 
 
-def unroll(a, seq: str, kernel: Axis) -> NamedTensor:
+@_op(unroll_shape)
+def unroll(out, a: NamedTensor, seq: str, kernel: Axis) -> NamedTensor:
     """Sliding windows: result[seq(i), kernel(j)] = a[seq(i + j - 1)]."""
-    a = as_tensor(a)
-    out = unroll_shape(a.shape, seq, kernel)
     pos = a.shape.names.index(seq)
     windows = np.lib.stride_tricks.sliding_window_view(
         a.array, kernel.size, axis=pos
@@ -438,7 +461,8 @@ def index_select_shape(sa: Shape, ax: str, si: Shape) -> Shape:
     return rest.union(si)
 
 
-def index_select(a, ax: str, indices) -> NamedTensor:
+@_op(index_select_shape)
+def index_select(out, a: NamedTensor, ax: str, indices: NamedTensor) -> NamedTensor:
     """Gather along ``ax`` at 1-based positions given by an integer tensor.
 
     Axes shared between the operand and the index tensor align; extra axes
@@ -446,17 +470,15 @@ def index_select(a, ax: str, indices) -> NamedTensor:
     indexing; an index tensor sharing no axes with the operand reproduces
     integer-array indexing; sharing axes reproduces gather.
     """
-    a, idx = as_tensor(a), as_tensor(indices)
-    out_shape = index_select_shape(a.shape, ax, idx.shape)
     n = a.shape.size(ax)
-    ivals = idx.array
+    ivals = indices.array
     if np.any(ivals != np.floor(ivals)) or np.any(ivals < 1) or np.any(ivals > n):
         raise IndexOutOfRange(f"indices for {ax}[{n}] must be integers in 1..{n}")
-    full = out_shape.union(a.shape)
+    full = out.union(a.shape)
     at = full.names.index(ax)
-    pos = np.expand_dims((_aligned(idx, out_shape) - 1).astype(np.intp), at)
-    out = np.take_along_axis(_aligned(a, full), pos, axis=at)
-    return NamedTensor._own(out_shape, out.squeeze(at))
+    pos = np.expand_dims((_aligned(indices, out) - 1).astype(np.intp), at)
+    res = np.take_along_axis(_aligned(a, full), pos, axis=at)
+    return NamedTensor._own(out, res.squeeze(at))
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +507,22 @@ def _top_order(a: NamedTensor, ax: str, k: Axis) -> np.ndarray:
     return order[tuple(sl)]
 
 
-def maxk(a, ax: str, k: Axis) -> NamedTensor:
+@_op(maxk_shape)
+def maxk(out, a: NamedTensor, ax: str, k: Axis) -> NamedTensor:
     """The k largest values along ``ax`` in descending order (duplicates kept)."""
-    a = as_tensor(a)
-    out = maxk_shape(a.shape, ax, k)
     pos = a.shape.names.index(ax)
     top = _top_order(a, ax, k)
     vals = np.take_along_axis(a.array, top, axis=pos)
     return NamedTensor._own(out, vals, [k.name if n == ax else n for n in a.shape.names])
 
 
-def argmaxk(a, ax: str, k: Axis) -> NamedTensor:
+@_op(argmaxk_shape)
+def argmaxk(out, a: NamedTensor, ax: str, k: Axis) -> NamedTensor:
     """One-hot selectors over ``ax`` for each of the k largest entries.
 
     Each position is selected at most once, so ``contract(a, argmaxk(a),
     [ax])`` equals ``maxk(a)``.
     """
-    a = as_tensor(a)
-    out = argmaxk_shape(a.shape, ax, k)
     pos = a.shape.names.index(ax)
     top = _top_order(a, ax, k)
     onehot = np.zeros(a.array.shape + (k.size,))
@@ -583,30 +603,29 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
         g[:, c] = 0.0
         aug[:, c] /= pivot[:, None]
         aug -= np.where(g != 0.0, g * aug[:, None, c], 0.0)
-    with np.errstate(all="ignore"):
-        dets = np.ldexp(dets, k * n)
-        inverse = np.ldexp(aug[:, :, n:], -k[:, None, None])
+    dets = np.ldexp(dets, k * n)
+    inverse = np.ldexp(aug[:, :, n:], -k[:, None, None])
     dets[bad] = np.nan
     inverse[bad] = np.nan
     inverse = np.moveaxis(inverse.reshape(stack.shape), (-1, -2), (rpos, cpos))
     return dets.reshape(stack.shape[:-2]), inverse
 
 
-def det(a, rows: str, cols: str) -> NamedTensor:
+@_op(det_shape)
+def det(out, a: NamedTensor, rows: str, cols: str) -> NamedTensor:
     """Determinant of the matrix over (rows, cols), lifted over other axes."""
-    a = as_tensor(a)
-    return NamedTensor._own(det_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[0])
+    return NamedTensor._own(out, _gauss_jordan(a, rows, cols)[0])
 
 
-def inv(a, rows: str, cols: str) -> NamedTensor:
+@_op(inv_shape)
+def inv(out, a: NamedTensor, rows: str, cols: str) -> NamedTensor:
     """Matrix inverse over (rows, cols), lifted over other axes.
 
     The result is oriented so that contracting it with ``a`` over either
     shared axis (after renaming the other on one side) yields the identity
     matrix; for symmetric input it is the plain inverse.
     """
-    a = as_tensor(a)
-    return NamedTensor._own(inv_shape(a.shape, rows, cols), _gauss_jordan(a, rows, cols)[1])
+    return NamedTensor._own(out, _gauss_jordan(a, rows, cols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +639,14 @@ def standardize_shape(s: Shape, axes: Sequence[str]) -> Shape:
 EPS = 1e-5  # keeps standardize finite on a constant fiber
 
 
-def standardize(a, axes: Sequence[str]) -> NamedTensor:
+@_op(standardize_shape)
+def standardize(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """(a - mean) / sqrt(var + EPS) over the given axes, lifted over the rest."""
-    a = as_tensor(a)
-    standardize_shape(a.shape, axes)
     pos = _axis_positions(a.shape, axes)
     arr = a.array
-    with np.errstate(all="ignore"):
-        m = arr.mean(axis=pos, keepdims=True)
-        v = arr.var(axis=pos, keepdims=True)
-        return NamedTensor._own(a.shape, (arr - m) / np.sqrt(v + EPS))
+    m = arr.mean(axis=pos, keepdims=True)
+    v = arr.var(axis=pos, keepdims=True)
+    return NamedTensor._own(out, (arr - m) / np.sqrt(v + EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +660,14 @@ def identity_shape(a: Axis, b: Axis) -> Shape:
     return Shape([a, b])
 
 
-def identity(a: Axis, b: Axis) -> NamedTensor:
+@_op(identity_shape)
+def identity(out, a: Axis, b: Axis) -> NamedTensor:
     """The identity matrix I over two same-sized axes: 1 where indices agree."""
-    return NamedTensor._own(identity_shape(a, b), np.eye(a.size), [a.name, b.name])
+    return NamedTensor._own(out, np.eye(a.size), [a.name, b.name])
 
 
-def partial_index_shape(s: Shape, record: Record) -> Shape:
+def partial_index_shape(s: Shape, record) -> Shape:
+    record = Record(record)
     for name, idx in record:
         if name not in s:
             raise InvalidRecord(f"axis {name!r} not in shape {s}")
@@ -657,14 +676,13 @@ def partial_index_shape(s: Shape, record: Record) -> Shape:
     return s.drop(record.names)
 
 
-def partial_index(a, record) -> NamedTensor:
+@_op(partial_index_shape)
+def partial_index(out, a: NamedTensor, record) -> NamedTensor:
     """Fix the axes named in ``record`` (a :class:`Record` or a mapping of
     names to indices); the result drops those axes.  Its values are
     copied, so a small result never keeps ``a``'s whole buffer alive."""
-    a, record = as_tensor(a), Record(record)
-    out = partial_index_shape(a.shape, record)
     if not len(record):
         return a
-    fixed = dict(record)
+    fixed = dict(Record(record))
     indexer = tuple(fixed[n] - 1 if n in fixed else slice(None) for n in a.shape.names)
     return NamedTensor._own(out, a.array[indexer].copy())

@@ -14,7 +14,40 @@ import math
 import numpy as np
 
 from ntensor import Axis, NamedTensor, Record, Shape, SplitMix64
+from ntensor import _blas
 from ntensor import autodiff as ad
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+
+# ---------------------------------------------------------------------------
+# the numeric environment of byte pins
+
+# The byte pins of test_pins and test_rng hash 17-digit output.  Another
+# OpenBLAS kernel or numpy SIMD loop rounds in its own order and may move
+# the last bits of a correct result, so a pin holds only in the numeric
+# environment it was taken under:
+PINNED_UNDER = ("numpy 2.4.6, OpenBLAS core SkylakeX, "
+                "numpy dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def numeric_environment() -> str:
+    """numpy's version, OpenBLAS's core name and numpy's enabled AVX2 and
+    AVX-512 dispatch targets in this process, in ``PINNED_UNDER``'s form."""
+    enabled = [name for name in _umath.__cpu_dispatch__
+               if _umath.__cpu_features__.get(name) and ("AVX" in name or "X86_V" in name)]
+    return (f"numpy {np.__version__}, OpenBLAS core {_blas.core_name()}, "
+            f"numpy dispatch {' '.join(enabled) or 'none'}")
+
+
+def pin_mismatch() -> str:
+    """The message of a failed byte pin: the environment it ran in and the
+    one the pins were taken under."""
+    return (f"output differs from its pin; this process runs {numeric_environment()}; "
+            f"the pins were taken under {PINNED_UNDER}")
 
 
 # ---------------------------------------------------------------------------

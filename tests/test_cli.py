@@ -214,6 +214,19 @@ def test_zoo_list_and_run(capsys):
     assert main(["zoo", "run", "nonexistent"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["eval", MATRIX], ["grad", MATRIX, "--wrt", "A"],
+                                  ["zoo", "run", "attention"]], ids=["eval", "grad", "zoo"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_a_usage_error(argv, seed, capsys):
+    # SplitMix64 reads its seed modulo 2**64: -1 would alias 2**64 - 1, 2**64 alias 0
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--seed", str(seed)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: {seed} is outside 0..{2**64 - 1}\n")
+    assert main(["eval", MATRIX, "--seed", str(2**64 - 1)]) == 0
+
+
 def test_missing_file(capsys):
     assert main(["check", "no_such_file.nt"]) == 1
     assert "error" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import pin_mismatch
 from ntensor.cli import main
 from ntensor.zoo import transformer_program
 
@@ -144,7 +145,7 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("command, name, seed", list(_cases()))
 def test_output_is_byte_identical_to_the_pin(command, name, seed):
-    assert _digest(command, name, seed) == PINNED[command, name, seed]
+    assert _digest(command, name, seed) == PINNED[command, name, seed], pin_mismatch()
 
 
 if __name__ == "__main__":

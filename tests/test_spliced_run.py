@@ -29,13 +29,13 @@ def test_evaluate_over_a_mapping_equals_each_root_alone(monkeypatch):
     alone = {name: ad.evaluate(root, env) for name, root in roots.items()}
 
     calls = []
-    real_exp = ops.exp
+    real_exp = ops.exp.kernel
 
-    def counting(t):
+    def counting(out, t):
         calls.append(t)
-        return real_exp(t)
+        return real_exp(out, t)
 
-    monkeypatch.setattr(ops, "exp", counting)
+    monkeypatch.setattr(ops.exp, "kernel", counting)
     together = ad.evaluate(roots, env)
     assert list(together) == ["A", "B", "C"]
     assert together == alone
