@@ -8,20 +8,23 @@ used three ways: :func:`infer_shape` runs the shape rules only,
 bindings, as a program or model writes them, into one graph, drawing
 random literals as it goes, and :func:`evaluate` runs its roots in one walk.
 
-Each node class is a dataclass of its fields: those annotated ``Expr`` are
-its operands, in order, and the others are its static parameters.  Fields
-follow the builder's arguments: the op name first where several builders
-share a class, then the operands, then the parameters, so most classes are
-their own builders (``contract = Contract``).  An operand given as a tensor
-or a number is wrapped as a constant.  :class:`Expr` derives children,
-equality and :meth:`Expr.with_children` from that declaration.  A node
-with operands names its :mod:`ntensor.ops` operation when this module is
-imported (``operation``, or ``OPS`` by the parameter that picks it), and
-the operation's ``rule`` is the node's shape inference.  Its value is the
-operation's ``kernel`` on its operand values and parameters, given the
-shape the rule returns: a walk calls the two directly, not the public
-function, and runs whole under one ``np.errstate(all="ignore")``.  Beyond
-its fields, a node class holds only real parameter glue and its VJP rule.
+Each node class is one operation, and a dataclass of its fields: those
+annotated ``Expr`` are its operands, in order, and the others are its
+static parameters.  Fields follow the builder's arguments, operands first,
+so the classes are their own builders (``relu = Relu``, ``contract =
+Contract``); only ``literal`` and the named reductions (``sum_`` …) are
+functions.  An operand given as a tensor or a number is wrapped
+as a constant.  :class:`Expr` derives children, equality and
+:meth:`Expr.with_children` from that declaration.  A node with operands
+names its :mod:`ntensor.ops` operation (``operation``) when this module is
+imported, and the operation's ``rule`` is the node's shape inference.  Its
+value is the operation's ``kernel`` on its operand values and parameters,
+given the shape the rule returns: a walk calls the two directly, not the
+public function, and runs whole under one ``np.errstate(all="ignore")``.
+Beyond its fields, a node class holds only real parameter glue and its VJP
+rule.  Ops of one form share a base class for their fields (``Unary``,
+``Binary``, ``ArgExtremum``, ``TopK``, ``LinAlg``); a base names no
+operation, and building one raises ``TypeError``.
 
 Random literals (``random over (axes)``) have a shape but no values here:
 :mod:`ntensor.lang` replaces them with seeded constants as it splices,
@@ -105,7 +108,7 @@ def _declared(sizes: Optional[Mapping[str, int]], name: str, given: Optional[int
     if given is not None:
         return given
     if name not in (sizes or {}):
-        raise MissingAxis(f"axis {name!r} has no declared size")
+        raise MissingAxis(f"axis {name!r} has no declared size", name)
     return sizes[name]
 
 
@@ -118,9 +121,6 @@ class Expr:
     """
 
     operation = None  # the ops function whose rule and kernel the node runs
-    # For a node whose first parameter picks its operation: {parameter
-    # value: ops function}.  That parameter is then not passed to it.
-    OPS: Optional[Mapping[str, Callable]] = None
     span = None  # (line, col), set by the language parser
 
     def __init_subclass__(cls, **kwargs):
@@ -134,11 +134,8 @@ class Expr:
     def __post_init__(self):
         for name in self._tuples:
             setattr(self, name, tuple(getattr(self, name)))
-        if self.OPS is not None:
-            which = getattr(self, self._params[0])
-            if which not in self.OPS:
-                raise ValueError(f"unknown {type(self).__name__} op {which!r}")
-            self.operation = self.OPS[which]
+        if self.operation is None and self._operands:
+            raise TypeError(f"{type(self).__name__} is abstract: build one of its subclasses")
         kids = tuple([getattr(self, name) for name in self._operands])
         for kid in kids:
             if not isinstance(kid, Expr):  # the common all-Expr case skips this
@@ -167,8 +164,7 @@ class Expr:
     def _args(self, shape: Shape, sizes) -> tuple:
         """The static arguments the operation takes besides its operands;
         ``shape`` is the first operand's."""
-        key = self._key()
-        return key[1:] if self.OPS is not None else key
+        return self._key()
 
     def _call(self, kids, args) -> tuple:
         """The operation's arguments in its order, given the operands'
@@ -187,7 +183,7 @@ class Expr:
                need: Sequence[bool]):
         """The cotangent of each operand, or None; ``need`` flags the
         operands that depend on the variable, and only those are used."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no VJP rule")
 
     def __eq__(self, other):
         """Structural equality; spans never take part."""
@@ -207,34 +203,34 @@ class Expr:
     # operator sugar -------------------------------------------------------
 
     def __add__(self, other):
-        return Binary("add", self, other)
+        return Add(self, other)
 
     def __radd__(self, other):
-        return Binary("add", other, self)
+        return Add(other, self)
 
     def __sub__(self, other):
-        return Binary("sub", self, other)
+        return Sub(self, other)
 
     def __rsub__(self, other):
-        return Binary("sub", other, self)
+        return Sub(other, self)
 
     def __mul__(self, other):
-        return Binary("mul", self, other)
+        return Mul(self, other)
 
     def __rmul__(self, other):
-        return Binary("mul", other, self)
+        return Mul(other, self)
 
     def __truediv__(self, other):
-        return Binary("div", self, other)
+        return Div(self, other)
 
     def __rtruediv__(self, other):
-        return Binary("div", other, self)
+        return Div(other, self)
 
     def __pow__(self, other):
-        return Binary("pow", self, other)
+        return Pow(self, other)
 
     def __neg__(self):
-        return Unary("neg", self)
+        return Neg(self)
 
 
 # ---------------------------------------------------------------------------
@@ -340,46 +336,102 @@ def _fresh(name: str, taken: set) -> str:
 # elementwise nodes
 
 class Unary(Expr):
-    OPS = {"neg": ops.neg, "relu": ops.relu, "sigma": ops.sigmoid,
-           "exp": ops.exp, "log": ops.log, "sqrt": ops.sqrt}
-    op: str
+    """An elementwise function of one operand; each subclass is one."""
+
     child: Expr
+
+
+class Neg(Unary):
+    operation = staticmethod(ops.neg)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.neg(g),)
+
+
+class Relu(Unary):
+    operation = staticmethod(ops.relu)
 
     def _grads(self, g, child_values, value, need):
         (x,) = child_values
-        y = value
-        if self.op == "neg":
-            return (ops.neg(g),)
-        if self.op == "relu":
-            return (ops.mul(g, NamedTensor._own(x.shape, (x.array > 0.0).astype(float))),)
-        if self.op == "sigma":
-            return (ops.mul(ops.mul(g, y), ops.sub(1.0, y)),)
-        if self.op == "exp":
-            return (ops.mul(g, y),)
-        if self.op == "log":
-            return (ops.div(g, x),)
-        return (ops.div(g, ops.mul(2.0, y)),)  # sqrt
+        return (ops.mul(g, NamedTensor._own(x.shape, (x.array > 0.0).astype(float))),)
+
+
+class Sigmoid(Unary):
+    operation = staticmethod(ops.sigmoid)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.mul(ops.mul(g, value), ops.sub(1.0, value)),)
+
+
+class Exp(Unary):
+    operation = staticmethod(ops.exp)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.mul(g, value),)
+
+
+class Log(Unary):
+    operation = staticmethod(ops.log)
+
+    def _grads(self, g, child_values, value, need):
+        (x,) = child_values
+        return (ops.div(g, x),)
+
+
+class Sqrt(Unary):
+    operation = staticmethod(ops.sqrt)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.div(g, ops.mul(2.0, value)),)
 
 
 class Binary(Expr):
-    OPS = {"add": ops.add, "sub": ops.sub, "mul": ops.mul, "div": ops.div, "pow": ops.pow_}
-    op: str
+    """An elementwise function of two operands; each subclass is one."""
+
     a: Expr
     b: Expr
+
+
+class Add(Binary):
+    operation = staticmethod(ops.add)
+
+    def _grads(self, g, child_values, value, need):
+        return (g, g)
+
+
+class Sub(Binary):
+    operation = staticmethod(ops.sub)
+
+    def _grads(self, g, child_values, value, need):
+        return (g, ops.neg(g) if need[1] else None)
+
+
+class Mul(Binary):
+    operation = staticmethod(ops.mul)
 
     def _grads(self, g, child_values, value, need):
         a, b = child_values
         da, db = need
-        if self.op == "add":
-            return (g, g)
-        if self.op == "sub":
-            return (g, ops.neg(g) if db else None)
-        if self.op == "mul":
-            return (ops.mul(g, b) if da else None, ops.mul(g, a) if db else None)
-        if self.op == "div":
-            return (ops.div(g, b) if da else None,
-                    ops.neg(ops.div(ops.mul(g, value), b)) if db else None)
-        # pow: d/da = b * a**(b-1), d/db = value * log(a)
+        return (ops.mul(g, b) if da else None, ops.mul(g, a) if db else None)
+
+
+class Div(Binary):
+    operation = staticmethod(ops.div)
+
+    def _grads(self, g, child_values, value, need):
+        a, b = child_values
+        da, db = need
+        return (ops.div(g, b) if da else None,
+                ops.neg(ops.div(ops.mul(g, value), b)) if db else None)
+
+
+class Pow(Binary):
+    operation = staticmethod(ops.pow_)
+
+    def _grads(self, g, child_values, value, need):
+        a, b = child_values
+        da, db = need
+        # d/da = b * a**(b-1), d/db = value * log(a)
         return (
             ops.mul(g, ops.mul(b, ops.pow_(a, ops.sub(b, 1.0)))) if da else None,
             ops.mul(g, ops.mul(value, ops.log(a))) if db else None,
@@ -468,13 +520,21 @@ class Softmax(Expr):
 
 
 class ArgExtremum(Expr):
-    OPS = {"argmax": ops.argmax, "argmin": ops.argmin}
-    which: str
+    """One-hot mass on the extrema over ``axes``; an index is a constant."""
+
     child: Expr
     axes: tuple
 
     def _grads(self, g, child_values, value, need):
         return (None,)
+
+
+class ArgMax(ArgExtremum):
+    operation = staticmethod(ops.argmax)
+
+
+class ArgMin(ArgExtremum):
+    operation = staticmethod(ops.argmin)
 
 
 class Standardize(Expr):
@@ -601,11 +661,8 @@ class IndexSelect(Expr):
 
 
 class TopK(Expr):
-    """The k largest values along an axis (``maxk``), or one-hot selectors
-    for them (``argmaxk``)."""
+    """A selection of the k largest entries along ``ax``, over a new axis."""
 
-    OPS = {"maxk": ops.maxk, "argmaxk": ops.argmaxk}
-    which: str
     child: Expr
     ax: str
     k_name: str
@@ -614,27 +671,46 @@ class TopK(Expr):
     def _args(self, shape, sizes):
         return (self.ax, Axis(self.k_name, _declared(sizes, self.k_name, self.k_size)))
 
+
+class MaxK(TopK):
+    """The k largest values."""
+
+    operation = staticmethod(ops.maxk)
+
     def _grads(self, g, child_values, value, need):
-        if self.which == "argmaxk":
-            return (None,)
         (x,) = child_values
         selectors = ops.argmaxk(x, self.ax, g.shape.axis(self.k_name))
         return (ops.contract(g, selectors, [self.k_name]),)
 
 
-class LinAlg(Expr):
-    """Determinant (``det``) or inverse (``inv``) over a (rows, cols) matrix."""
+class ArgMaxK(TopK):
+    """One-hot selectors for the k largest values; they are constants."""
 
-    OPS = {"det": ops.det, "inv": ops.inv}
-    which: str
+    operation = staticmethod(ops.argmaxk)
+
+    def _grads(self, g, child_values, value, need):
+        return (None,)
+
+
+class LinAlg(Expr):
+    """A function of the matrices over (rows, cols); it has no derivative."""
+
     child: Expr
     rows: str
     cols: str
 
     def _grads(self, g, child_values, value, need):
         raise UnsupportedDerivative(
-            f"differentiation through {self.which} is not supported"
+            f"differentiation through {self.operation.__name__} is not supported"
         )
+
+
+class Det(LinAlg):
+    operation = staticmethod(ops.det)
+
+
+class Inv(LinAlg):
+    operation = staticmethod(ops.inv)
 
 
 class PartialIndex(Expr):
@@ -658,69 +734,18 @@ class PartialIndex(Expr):
 # ---------------------------------------------------------------------------
 # builders: a class whose fields are its builder's arguments is its own
 
-var = Var
-const = Const
-random_literal = RandomLiteral
-size_of = SizeOf
-reduce = Reduce
-contract = Contract
-softmax = Softmax
-standardize = Standardize
-rename = Rename
-merge = Merge
-split = Split
-unroll = Unroll
-index_select = IndexSelect
-partial_index = PartialIndex
+var, const, random_literal, size_of = Var, Const, RandomLiteral, SizeOf
+neg, relu, sigmoid, exp, log, sqrt = Neg, Relu, Sigmoid, Exp, Log, Sqrt
+add, sub, mul, div, pow_ = Add, Sub, Mul, Div, Pow
+reduce, contract, softmax, standardize = Reduce, Contract, Softmax, Standardize
+argmax, argmin, maxk, argmaxk, det, inv = ArgMax, ArgMin, MaxK, ArgMaxK, Det, Inv
+rename, merge, split, unroll = Rename, Merge, Split, Unroll
+index_select, partial_index = IndexSelect, PartialIndex
 
 
 def literal(values, axis_names: Sequence[str]) -> Expr:
     """A constant from nested lists; level ``i`` of nesting binds ``axis_names[i]``."""
     return Const(NamedTensor.from_nested(values, axis_names))
-
-
-def add(a, b) -> Expr:
-    return Binary("add", a, b)
-
-
-def sub(a, b) -> Expr:
-    return Binary("sub", a, b)
-
-
-def mul(a, b) -> Expr:
-    return Binary("mul", a, b)
-
-
-def div(a, b) -> Expr:
-    return Binary("div", a, b)
-
-
-def pow_(a, b) -> Expr:
-    return Binary("pow", a, b)
-
-
-def neg(a) -> Expr:
-    return Unary("neg", a)
-
-
-def relu(a) -> Expr:
-    return Unary("relu", a)
-
-
-def sigmoid(a) -> Expr:
-    return Unary("sigma", a)
-
-
-def exp(a) -> Expr:
-    return Unary("exp", a)
-
-
-def log(a) -> Expr:
-    return Unary("log", a)
-
-
-def sqrt(a) -> Expr:
-    return Unary("sqrt", a)
 
 
 def sum_(a, axes) -> Expr:
@@ -745,30 +770,6 @@ def var_(a, axes) -> Expr:
 
 def norm_(a, axes) -> Expr:
     return Reduce(a, "norm", axes)
-
-
-def argmax(a, axes: Sequence[str]) -> Expr:
-    return ArgExtremum("argmax", a, axes)
-
-
-def argmin(a, axes: Sequence[str]) -> Expr:
-    return ArgExtremum("argmin", a, axes)
-
-
-def maxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return TopK("maxk", a, ax, k_name, k_size)
-
-
-def argmaxk(a, ax: str, k_name: str, k_size: Optional[int] = None) -> Expr:
-    return TopK("argmaxk", a, ax, k_name, k_size)
-
-
-def det(a, rows: str, cols: str) -> Expr:
-    return LinAlg("det", a, rows, cols)
-
-
-def inv(a, rows: str, cols: str) -> Expr:
-    return LinAlg("inv", a, rows, cols)
 
 
 # ---------------------------------------------------------------------------

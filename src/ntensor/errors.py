@@ -2,7 +2,10 @@
 
 All library errors derive from :class:`NamedTensorError`; shape-algebra
 violations additionally derive from :class:`ShapeError`.  An error is its
-message: the message names the axes and shapes involved.
+message: the message names the axes and shapes involved.  The one
+exception is :class:`MissingAxis` for an axis with no declared size, which
+also carries the axis name, so the checker can tell a use of an axis whose
+declaration failed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ class ShapeError(NamedTensorError):
 
 
 class MissingAxis(ShapeError):
-    """A named axis was required but is absent from the operand."""
+    """A named axis was required but is absent from the operand, or has no
+    declared size; ``axis`` is its name in the second case."""
+
+    def __init__(self, message: str, axis: str | None = None):
+        super().__init__(message)
+        self.axis = axis
 
 
 class IncompatibleShapes(ShapeError):

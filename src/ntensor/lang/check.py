@@ -4,8 +4,8 @@ The checker runs the same shape rules the evaluator uses, so a program
 with no diagnostics cannot fail at runtime for shape reasons; it also
 refuses a value with more entries than a numpy array can hold.  It collects
 diagnostics across the whole program rather than stopping at the first;
-a binding whose definition failed poisons its name, and later uses of a
-poisoned name are suppressed instead of producing cascades.
+an axis or a binding whose declaration failed poisons its name, and later
+uses of a poisoned name are suppressed instead of producing cascades.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Dict, List, Set
 
 from .. import autodiff as ad
 from ..axes import Axis, Shape
+from ..errors import MissingAxis
 from .diagnostics import Diagnostic
 from .parse import AxisDecl, Binding, Directive, Program, ShapeDecl
 
@@ -27,16 +28,18 @@ def check(program: Program) -> List[Diagnostic]:
     var_shapes: Dict[str, Shape] = {}
     defined: Set[str] = set()
     poisoned: Set[str] = set()
+    poisoned_axes: Set[str] = set()
 
     def report(span, message):
         diags.append(Diagnostic("error", span[0], span[1], message))
 
     for st in program.statements:
         if isinstance(st, AxisDecl):
-            if st.name in axis_sizes:
+            if st.name in axis_sizes or st.name in poisoned_axes:
                 report(st.span, f"axis '{st.name}' is declared more than once")
             elif st.size < 1:
                 report(st.span, f"axis '{st.name}' must have size at least 1")
+                poisoned_axes.add(st.name)
             else:
                 axis_sizes[st.name] = st.size
 
@@ -48,7 +51,9 @@ def check(program: Program) -> List[Diagnostic]:
             axes = []
             bad = False
             for ax in st.axes:
-                if ax not in axis_sizes:
+                if ax in poisoned_axes:
+                    bad = True
+                elif ax not in axis_sizes:
                     report(st.span, f"axis '{ax}' is not declared")
                     bad = True
                 elif any(a.name == ax for a in axes):
@@ -76,8 +81,8 @@ def check(program: Program) -> List[Diagnostic]:
                     st.expr, var_shapes, axis_sizes=axis_sizes
                 )
             except ad.ExprError as err:
-                span = err.node.span or st.span
-                report(span, str(err.error))
+                if not (isinstance(err.error, MissingAxis) and err.error.axis in poisoned_axes):
+                    report(err.node.span or st.span, str(err.error))
                 poisoned.add(st.name)
 
         elif isinstance(st, Directive):

@@ -89,37 +89,41 @@ class Program:
 # ---------------------------------------------------------------------------
 # the call table
 
-# Call name -> (node class, the op it passes as the node's first parameter
-# or None, fill).  The braces fill the next parameters: all of them as one
-# tuple when fill is None, else parameter j takes brace position fill[j].
-# The arguments fill the node's operands.  The printer inverts this table,
-# taking the first row that fits.
+# Call name -> (node class, the reduction kind it passes as a Reduce
+# node's first parameter or None, fill).  The braces fill the next
+# parameters: all of them as one tuple when fill is None, else parameter j
+# takes brace position fill[j].  The arguments fill the node's operands.
+# The printer inverts this table, taking the first row that fits.
 _CALLS = {
     **{red: (ad.Reduce, red, None) for red in ops.REDUCE_KINDS},
     "softmax": (ad.Softmax, None, None),
-    "argmax": (ad.ArgExtremum, "argmax", None),
-    "argmin": (ad.ArgExtremum, "argmin", None),
+    "argmax": (ad.ArgMax, None, None),
+    "argmin": (ad.ArgMin, None, None),
     "standardize": (ad.Standardize, None, None),
-    **{fn: (ad.Unary, fn, ()) for fn in ("relu", "sigma", "exp", "log", "neg")},
+    "relu": (ad.Relu, None, ()),
+    "sigma": (ad.Sigmoid, None, ()),
+    "exp": (ad.Exp, None, ()),
+    "log": (ad.Log, None, ()),
+    "neg": (ad.Neg, None, ()),
     "dot": (ad.Contract, None, None),  # parse only; printed as infix .{axes}
     "index": (ad.IndexSelect, None, (0,)),
     "unroll": (ad.Unroll, None, (0, 1)),
     "pool": (ad.Split, None, (0, 0, 1)),  # split{src, src, inner}
     "split": (ad.Split, None, (0, 1, 2)),
-    "maxk": (ad.TopK, "maxk", (0, 1)),
-    "argmaxk": (ad.TopK, "argmaxk", (0, 1)),
-    "det": (ad.LinAlg, "det", (0, 1)),
-    "inv": (ad.LinAlg, "inv", (0, 1)),
+    "maxk": (ad.MaxK, None, (0, 1)),
+    "argmaxk": (ad.ArgMaxK, None, (0, 1)),
+    "det": (ad.Det, None, (0, 1)),
+    "inv": (ad.Inv, None, (0, 1)),
 }
 
 _LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_POSTFIX, _LEVEL_ATOM = range(5)
 
-# Infix operator -> (Binary op, precedence level).
+# Infix operator -> (Binary node class, precedence level).
 _INFIX = {
-    "+": ("add", _LEVEL_EXPR), "-": ("sub", _LEVEL_EXPR),
-    "*": ("mul", _LEVEL_TERM), "/": ("div", _LEVEL_TERM),
+    "+": (ad.Add, _LEVEL_EXPR), "-": (ad.Sub, _LEVEL_EXPR),
+    "*": (ad.Mul, _LEVEL_TERM), "/": (ad.Div, _LEVEL_TERM),
 }
-_SYMBOL = {op: (sym, level) for sym, (op, level) in _INFIX.items()}
+_SYMBOL = {cls: (sym, level) for sym, (cls, level) in _INFIX.items()}
 
 # The characters a JSON literal of numbers, with "inf" for Infinity, may hold.
 _JSON_RUN = re.compile(r"[\s\d.eE+,\[\]inf-]+")
@@ -273,7 +277,7 @@ class _Parser:
         node = operand()
         while _INFIX.get(self.peek().kind, (None, None))[1] == level:
             op = self.advance()
-            node = self._spanned(ad.Binary(_INFIX[op.kind][0], node, operand()), op)
+            node = self._spanned(_INFIX[op.kind][0](node, operand()), op)
         return node
 
     def factor(self) -> ad.Expr:
@@ -350,7 +354,7 @@ class _Parser:
             if nxt.kind == "(":
                 if tok.text == "sqrt":
                     self.advance()
-                    return self._spanned(ad.Unary("sqrt", self.parenthesized()), tok)
+                    return self._spanned(ad.Sqrt(self.parenthesized()), tok)
                 if tok.text == "size":
                     self.advance()
                     self.advance()
@@ -387,7 +391,7 @@ class _Parser:
         self.depth -= 1
         if name.text not in _CALLS:
             raise ParseError(*self.at(name), f"unknown function {name.text!r}")
-        cls, op, fill = _CALLS[name.text]
+        cls, kind, fill = _CALLS[name.text]
         n_axes = None if fill is None else len(set(fill))
         for what, want, got in (("argument", len(cls._operands), len(args)),
                                 ("axis name", n_axes, len(axes))):
@@ -396,7 +400,7 @@ class _Parser:
                     *self.at(name),
                     f"{name.text} takes {want} {what}(s), got {got}",
                 )
-        params = [] if op is None else [op]
+        params = [] if kind is None else [kind]
         params += [tuple(axes)] if fill is None else [axes[b] for b in fill]
         node = cls(**dict(zip(cls._params, params)), **dict(zip(cls._operands, args)))
         return self._spanned(node, name)
@@ -521,10 +525,10 @@ def _call_form(node: ad.Expr):
     hold its field default: the parser could not build anything else.
     """
     params = node._key()
-    for name, (cls, op, fill) in _CALLS.items():
-        if type(node) is not cls or (op is not None and params[0] != op):
+    for name, (cls, kind, fill) in _CALLS.items():
+        if type(node) is not cls or (kind is not None and params[0] != kind):
             continue
-        rest = params if op is None else params[1:]
+        rest = params if kind is None else params[1:]
         if fill is None:
             width, axes = 1, rest[0]
         else:
@@ -533,7 +537,7 @@ def _call_form(node: ad.Expr):
                 continue
             width, axes = len(fill), [braces[b] for b in range(len(braces))]
         defaults = {f.name: f.default for f in fields(node)}
-        for param in node._params[(op is not None) + width:]:
+        for param in node._params[(kind is not None) + width:]:
             if getattr(node, param) != defaults[param]:
                 raise ValueError(
                     f"{name} with {param}={getattr(node, param)!r} has no surface syntax"
@@ -546,9 +550,9 @@ def _format_node(node: ad.Expr, sub) -> Tuple[str, int]:
     """``node``'s text and precedence level; ``sub(child, level)`` is the
     child's text, parenthesised if it binds looser than ``level``."""
     if isinstance(node, ad.Binary):
-        if node.op not in _SYMBOL:  # pow has no operator; the language never builds it
-            raise ValueError(f"{node.op} has no surface syntax")
-        sym, level = _SYMBOL[node.op]
+        if type(node) not in _SYMBOL:  # pow has no operator; the language never builds it
+            raise ValueError(f"{type(node).__name__.lower()} has no surface syntax")
+        sym, level = _SYMBOL[type(node)]
         return f"{sub(node.a, level)} {sym} {sub(node.b, level + 1)}", level
     if isinstance(node, ad.Contract):
         return (f"{sub(node.a, _LEVEL_FACTOR)} .{{{_names(node.axes)}}} "
@@ -583,7 +587,7 @@ def _format_atom(node: ad.Expr, sub) -> str:
         return f"random over ({_names(node.axis_names)})"
     if isinstance(node, ad.SizeOf):
         return f"size({_name(node.axis_name)})"
-    if isinstance(node, ad.Unary) and node.op == "sqrt":
+    if isinstance(node, ad.Sqrt):
         return f"sqrt({sub(node.child, _LEVEL_EXPR)})"
     name, axes = _call_form(node)
     args = ", ".join(sub(c, _LEVEL_EXPR) for c in node.children())

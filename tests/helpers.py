@@ -300,11 +300,11 @@ def fd_safe(expr: ad.Expr, env: dict, margin: float = 1e-3) -> bool:
     for node in order:
         if isinstance(node, ad.Unary):
             child = vals[id(node.child)].array
-            if node.op == "relu" and child.size and np.min(np.abs(child)) < margin:
+            if isinstance(node, ad.Relu) and child.size and np.min(np.abs(child)) < margin:
                 return False
-            if node.op in ("log", "sqrt") and child.size and np.min(child) < margin:
+            if isinstance(node, (ad.Log, ad.Sqrt)) and child.size and np.min(child) < margin:
                 return False
-        elif isinstance(node, ad.Binary) and node.op == "div":
+        elif isinstance(node, ad.Div):
             denom = vals[id(node.b)].array
             if denom.size and np.min(np.abs(denom)) < 0.05:
                 return False

@@ -9,6 +9,7 @@ import pytest
 
 from ntensor import AllMasked, Axis, NamedTensor, ops
 from ntensor import autodiff as ad
+from ntensor.lang.parse import _CALLS
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308, 1.0]
 X = NamedTensor.from_nested(SPECIAL, ["a"])
@@ -80,8 +81,11 @@ def test_unary_kernels_equal_numpy(name, f):
     assert np.array_equal(getattr(ops, name)(X).array, want, equal_nan=True)
 
 
+# every elementwise node class, by its name in the language
+UNARY = {cls for cls in ad.Unary.__subclasses__() if cls.__module__ == ad.__name__}
+SURFACE = {cls: name for name, (cls, *_) in _CALLS.items()}
 NODES = {
-    **{op: (lambda x, op=op: ad.Unary(op, x)) for op in ad.Unary.OPS},
+    **{SURFACE.get(cls, cls.__name__.lower()): cls for cls in UNARY},
     **{f"{kind}{axes}": (lambda x, kind=kind, axes=axes: ad.reduce(x, kind, axes))
        for kind in ops.REDUCE_KINDS for axes in (["c"], ["r", "c"], [])},
     "softmax": lambda x: ad.softmax(x, ["c"]),

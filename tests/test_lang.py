@@ -309,8 +309,8 @@ def test_parse_examples():
     expr = lang.parse(attention_body).statements[0].expr
     assert isinstance(expr, ad.Softmax)
     top = expr.child
-    assert isinstance(top, ad.Binary) and top.op == "add"
-    assert isinstance(top.a, ad.Binary) and top.a.op == "div"
+    assert isinstance(top, ad.Add)
+    assert isinstance(top.a, ad.Div)
     assert isinstance(top.a.a, ad.Contract) and top.a.a.axes == ("key",)
 
 
@@ -447,6 +447,23 @@ print C
 """
     diags = lang.check(lang.parse(source))
     assert len(diags) == 1  # only the bad literal, not B or C
+
+
+@pytest.mark.parametrize("source, want", [
+    ("axis k = 0\naxis seq = 4\nX : R[k]\nY = random over (seq, k)\nZ = size(k)",
+     [(1, 1, "axis 'k' must have size at least 1")]),
+    ("axis k = 0\nX = [1] over (k)\nY = X + 1",
+     [(1, 1, "axis 'k' must have size at least 1")]),
+    ("axis k = 0\nX = [1] over (m)\nY = random over (k)",
+     [(1, 1, "axis 'k' must have size at least 1"),
+      (2, 5, "axis 'm' has no declared size")]),
+    ("axis k = 0\naxis k = 2\nY = random over (k)",
+     [(1, 1, "axis 'k' must have size at least 1"),
+      (2, 1, "axis 'k' is declared more than once")]),
+], ids=["shape_random_size", "literal_then_binding", "other_axis", "declared_again"])
+def test_a_failed_axis_declaration_does_not_cascade(source, want):
+    diags = lang.check(lang.parse(source))
+    assert [(d.line, d.col, d.message) for d in diags] == want
 
 
 def test_checker_collects_across_statements():
