@@ -11,20 +11,21 @@ random literals as it goes, and :func:`evaluate` runs its roots in one walk.
 Each node class is one operation, and a dataclass of its fields: those
 annotated ``Expr`` are its operands, in order, and the others are its
 static parameters.  Fields follow the builder's arguments, operands first,
-so the classes are their own builders (``relu = Relu``, ``contract =
-Contract``); only ``literal`` and the named reductions (``sum_`` …) are
-functions.  An operand given as a tensor or a number is wrapped
-as a constant.  :class:`Expr` derives children, equality and
+so the classes are their own builders (``relu = Relu``, ``sum_ = Sum``);
+only ``literal`` is a function.  An operand given as a tensor or a number
+is wrapped as a constant.  :class:`Expr` derives children, equality and
 :meth:`Expr.with_children` from that declaration.  A node with operands
 names its :mod:`ntensor.ops` operation (``operation``) when this module is
 imported, and the operation's ``rule`` is the node's shape inference.  Its
 value is the operation's ``kernel`` on its operand values and parameters,
 given the shape the rule returns: a walk calls the two directly, not the
 public function, and runs whole under one ``np.errstate(all="ignore")``.
+An error that a node's rule, kernel or VJP rule raises leaves the walk
+as it is, with that node as its ``node``.
 Beyond its fields, a node class holds only real parameter glue and its VJP
 rule.  Ops of one form share a base class for their fields (``Unary``,
-``Binary``, ``ArgExtremum``, ``TopK``, ``LinAlg``); a base names no
-operation, and building one raises ``TypeError``.
+``Binary``, ``Reduce``, ``ArgExtremum``, ``TopK``, ``LinAlg``); a base
+names no operation, and building one raises ``TypeError``.
 
 Random literals (``random over (axes)``) have a shape but no values here:
 :mod:`ntensor.lang` replaces them with seeded constants as it splices,
@@ -80,25 +81,16 @@ from .rng import SplitMix64
 from .tensor import NamedTensor, as_tensor
 
 __all__ = [
-    "Expr", "ExprError", "Derivative", "LiftReport",
+    "Expr", "Derivative", "LiftReport",
     "var", "const", "literal", "random_literal", "size_of",
     "add", "sub", "mul", "div", "pow_", "neg",
     "relu", "sigmoid", "exp", "log", "sqrt",
-    "reduce", "sum_", "mean_", "max_", "min_", "var_", "norm_",
+    "sum_", "mean_", "max_", "min_", "var_", "norm_",
     "contract", "softmax", "argmax", "argmin", "standardize",
     "rename", "merge", "split", "unroll", "index_select",
     "maxk", "argmaxk", "det", "inv", "partial_index",
     "splice", "infer_shape", "evaluate", "vjp", "jacobian", "lifted_derivative_check",
 ]
-
-
-class ExprError(NamedTensorError):
-    """Wraps an error raised while processing a specific expression node."""
-
-    def __init__(self, node: "Expr", error: Exception):
-        super().__init__(str(error))
-        self.node = node
-        self.error = error
 
 
 def _declared(sizes: Optional[Mapping[str, int]], name: str, given: Optional[int] = None) -> int:
@@ -318,7 +310,7 @@ def _fit(g: NamedTensor, target: Shape, probes: Shape) -> NamedTensor:
     consumed.  Probe axes are carried through untouched."""
     extra = [n for n in g.shape.names if n not in target and n not in probes]
     if extra:
-        g = ops.reduce(g, "sum", extra)
+        g = ops.sum_(g, extra)
     full = target.union(probes)
     return g if g.shape == full else NamedTensor._own(full, _aligned(g, full))
 
@@ -442,45 +434,74 @@ class Pow(Binary):
 # reductions and contraction
 
 class Reduce(Expr):
-    operation = staticmethod(ops.reduce)
+    """A reduction over ``axes``; each subclass is one."""
+
     child: Expr
-    red: str
     axes: tuple
 
-    def __post_init__(self):
-        if self.red not in ops.REDUCE_KINDS:
-            raise ValueError(f"unknown reduction {self.red!r}")
-        super().__post_init__()
+
+class Sum(Reduce):
+    operation = staticmethod(ops.sum_)
+
+    def _grads(self, g, child_values, value, need):
+        return (g,)
+
+
+class Mean(Reduce):
+    operation = staticmethod(ops.mean_)
 
     def _grads(self, g, child_values, value, need):
         (x,) = child_values
-        target = x.shape
-        n = math.prod(target.size(a) for a in self.axes)
-        if self.red == "sum":
-            return (g,)
-        if self.red == "mean":
-            return (ops.div(g, n),)
-        if self.red == "var":
-            if not self.axes:  # each entry is its own fiber, of variance 0
-                return (NamedTensor.zeros(target),)
-            xc = ops.sub(x, ops.reduce(x, "mean", self.axes))
-            return (ops.div(ops.mul(ops.mul(g, 2.0), xc), n),)
-        if self.red == "norm":
-            y = _aligned(value, target)
-            local = np.divide(x.array, y, out=np.zeros(target.sizes), where=y != 0.0)
-        else:  # max, min
-            pos = tuple(target.names.index(a) for a in self.axes)
-            local = _first_extremum_mask(x.array, pos, self.red == "min")
-        return (ops.mul(g, NamedTensor._own(target, local)),)
+        return (ops.div(g, math.prod(x.shape.size(a) for a in self.axes)),)
 
 
-def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndarray:
-    """One-hot mask selecting the first extremum of each fiber.
+class Max(Reduce):
+    operation = staticmethod(ops.max_)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.mul(g, _first_extremum_mask(child_values[0], self.axes, minimize=False)),)
+
+
+class Min(Reduce):
+    operation = staticmethod(ops.min_)
+
+    def _grads(self, g, child_values, value, need):
+        return (ops.mul(g, _first_extremum_mask(child_values[0], self.axes, minimize=True)),)
+
+
+class Variance(Reduce):
+    """The population variance; ``Var`` is the variable leaf."""
+
+    operation = staticmethod(ops.var_)
+
+    def _grads(self, g, child_values, value, need):
+        (x,) = child_values
+        if not self.axes:  # each entry is its own fiber, of variance 0
+            return (NamedTensor.zeros(x.shape),)
+        xc = ops.sub(x, ops.mean_(x, self.axes))
+        n = math.prod(x.shape.size(a) for a in self.axes)
+        return (ops.div(ops.mul(ops.mul(g, 2.0), xc), n),)
+
+
+class Norm(Reduce):
+    operation = staticmethod(ops.norm_)
+
+    def _grads(self, g, child_values, value, need):
+        (x,) = child_values
+        y = _aligned(value, x.shape)
+        local = np.divide(x.array, y, out=np.zeros(x.shape.sizes), where=y != 0.0)
+        return (ops.mul(g, NamedTensor._own(x.shape, local)),)
+
+
+def _first_extremum_mask(x: NamedTensor, axes: tuple, minimize: bool) -> NamedTensor:
+    """One-hot mask over ``x.shape`` selecting the first extremum of each
+    fiber over ``axes``.
 
     "First" means lowest in record-enumeration order over the reduced axes.
     """
-    nd = arr.ndim
-    keep = [i for i in range(nd) if i not in pos]
+    arr = x.array
+    pos = tuple(x.shape.names.index(a) for a in axes)
+    keep = [i for i in range(arr.ndim) if i not in pos]
     perm = keep + list(pos)
     moved = arr.transpose(perm)
     lead = moved.shape[: len(keep)]
@@ -488,7 +509,7 @@ def _first_extremum_mask(arr: np.ndarray, pos: tuple, minimize: bool) -> np.ndar
     idx = flat.argmin(axis=-1) if minimize else flat.argmax(axis=-1)
     onehot = np.zeros_like(flat)
     np.put_along_axis(onehot, idx[..., None], 1.0, axis=-1)
-    return onehot.reshape(moved.shape).transpose(np.argsort(perm))
+    return NamedTensor._own(x.shape, onehot.reshape(moved.shape).transpose(np.argsort(perm)))
 
 
 class Contract(Expr):
@@ -545,10 +566,10 @@ class Standardize(Expr):
     def _grads(self, g, child_values, value, need):
         (x,) = child_values
         n = float(math.prod(x.shape.size(a) for a in self.axes))
-        q = ops.sqrt(ops.add(ops.reduce(x, "var", self.axes), ops.EPS))
-        xc = ops.sub(x, ops.reduce(x, "mean", self.axes))
+        q = ops.sqrt(ops.add(ops.var_(x, self.axes), ops.EPS))
+        xc = ops.sub(x, ops.mean_(x, self.axes))
         t1 = ops.div(g, q)
-        t2 = ops.div(ops.reduce(g, "sum", self.axes), ops.mul(n, q))
+        t2 = ops.div(ops.sum_(g, self.axes), ops.mul(n, q))
         t3 = ops.div(
             ops.mul(xc, ops.contract(g, xc, self.axes)),
             ops.mul(n, ops.pow_(q, 3.0)),
@@ -737,7 +758,8 @@ class PartialIndex(Expr):
 var, const, random_literal, size_of = Var, Const, RandomLiteral, SizeOf
 neg, relu, sigmoid, exp, log, sqrt = Neg, Relu, Sigmoid, Exp, Log, Sqrt
 add, sub, mul, div, pow_ = Add, Sub, Mul, Div, Pow
-reduce, contract, softmax, standardize = Reduce, Contract, Softmax, Standardize
+sum_, mean_, max_, min_, var_, norm_ = Sum, Mean, Max, Min, Variance, Norm
+contract, softmax, standardize = Contract, Softmax, Standardize
 argmax, argmin, maxk, argmaxk, det, inv = ArgMax, ArgMin, MaxK, ArgMaxK, Det, Inv
 rename, merge, split, unroll = Rename, Merge, Split, Unroll
 index_select, partial_index = IndexSelect, PartialIndex
@@ -746,30 +768,6 @@ index_select, partial_index = IndexSelect, PartialIndex
 def literal(values, axis_names: Sequence[str]) -> Expr:
     """A constant from nested lists; level ``i`` of nesting binds ``axis_names[i]``."""
     return Const(NamedTensor.from_nested(values, axis_names))
-
-
-def sum_(a, axes) -> Expr:
-    return Reduce(a, "sum", axes)
-
-
-def mean_(a, axes) -> Expr:
-    return Reduce(a, "mean", axes)
-
-
-def max_(a, axes) -> Expr:
-    return Reduce(a, "max", axes)
-
-
-def min_(a, axes) -> Expr:
-    return Reduce(a, "min", axes)
-
-
-def var_(a, axes) -> Expr:
-    return Reduce(a, "var", axes)
-
-
-def norm_(a, axes) -> Expr:
-    return Reduce(a, "norm", axes)
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +848,11 @@ def _forward(roots: Sequence[Expr], env, sizes, infer: bool = False, root_only: 
 
     Returns the ``_topo`` order of ``roots`` and each node's result by
     ``id`` (with ``root_only``, each node but a root is dropped after its
-    last reader); an error is re-raised as an :class:`ExprError` naming the
-    node that raised it.  An inferred shape with more entries than a numpy
-    array can hold is a :class:`ShapeError`.  The walk runs under one
-    ``np.errstate(all="ignore")``: kernels follow IEEE arithmetic.
+    last reader).  An error a node raises is re-raised as it is, with
+    ``node`` set to that node if it is not set yet.  An inferred shape with
+    more entries than a numpy array can hold is a :class:`ShapeError`.  The
+    walk runs under one ``np.errstate(all="ignore")``: kernels follow IEEE
+    arithmetic.
     """
     order = _topo(*roots)
     last = {id(c): node for node in order for c in node.children()} if root_only else {}
@@ -871,10 +870,10 @@ def _forward(roots: Sequence[Expr], env, sizes, infer: bool = False, root_only: 
                         f"{res} has {math.prod(res.sizes)} entries, more than "
                         f"the {_MAX_ENTRIES} a numpy array can hold"
                     )
-            except ExprError:
-                raise
             except NamedTensorError as err:
-                raise ExprError(node, err) from err
+                if err.node is None:
+                    err.node = node
+                raise
             for c in node.children():
                 if last.get(id(c)) is node:
                     out.pop(id(c), None)
@@ -930,7 +929,9 @@ def _backward(order, vals, root: Expr, cotangent: NamedTensor, wrt: str,
             try:
                 grads = node._grads(g, kids, vals[id(node)], need)
             except NamedTensorError as err:
-                raise ExprError(node, err) from err
+                if err.node is None:
+                    err.node = node
+                raise
             for child, kid, cg, needed in zip(node.children(), kids, grads, need):
                 if cg is None or not needed:
                     continue

@@ -5,14 +5,22 @@ violations additionally derive from :class:`ShapeError`.  An error is its
 message: the message names the axes and shapes involved.  The one
 exception is :class:`MissingAxis` for an axis with no declared size, which
 also carries the axis name, so the checker can tell a use of an axis whose
-declaration failed.
+declaration failed.  An error raised in an :mod:`ntensor.autodiff` walk
+keeps its own type and message and is given the node it came from as
+``node``, which is how the language finds its source span.
 """
 
 from __future__ import annotations
 
 
 class NamedTensorError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``node`` is the expression node whose rule, kernel or VJP rule raised
+    the error in a graph walk (the innermost such node), else None.
+    """
+
+    node = None
 
 
 class ShapeError(NamedTensorError):

@@ -14,7 +14,7 @@ from typing import Dict, List, Set
 
 from .. import autodiff as ad
 from ..axes import Axis, Shape
-from ..errors import MissingAxis
+from ..errors import MissingAxis, NamedTensorError
 from .diagnostics import Diagnostic
 from .parse import AxisDecl, Binding, Directive, Program, ShapeDecl
 
@@ -80,9 +80,11 @@ def check(program: Program) -> List[Diagnostic]:
                 var_shapes[st.name] = ad.infer_shape(
                     st.expr, var_shapes, axis_sizes=axis_sizes
                 )
-            except ad.ExprError as err:
-                if not (isinstance(err.error, MissingAxis) and err.error.axis in poisoned_axes):
-                    report(err.node.span or st.span, str(err.error))
+            except NamedTensorError as err:
+                if err.node is None:
+                    raise
+                if not (isinstance(err, MissingAxis) and err.axis in poisoned_axes):
+                    report(err.node.span or st.span, str(err))
                 poisoned.add(st.name)
 
         elif isinstance(st, Directive):

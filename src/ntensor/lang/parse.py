@@ -34,7 +34,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import autodiff as ad
-from .. import ops
 from ..errors import NamedTensorError
 from ..tensor import NamedTensor
 from .diagnostics import ParseError
@@ -89,31 +88,31 @@ class Program:
 # ---------------------------------------------------------------------------
 # the call table
 
-# Call name -> (node class, the reduction kind it passes as a Reduce
-# node's first parameter or None, fill).  The braces fill the next
-# parameters: all of them as one tuple when fill is None, else parameter j
-# takes brace position fill[j].  The arguments fill the node's operands.
-# The printer inverts this table, taking the first row that fits.
+# Call name -> (node class, fill).  The braces fill the node's parameters:
+# all of them as one tuple when fill is None, else parameter j takes brace
+# position fill[j].  The arguments fill the node's operands.  The printer
+# inverts this table, taking the first row that fits.
 _CALLS = {
-    **{red: (ad.Reduce, red, None) for red in ops.REDUCE_KINDS},
-    "softmax": (ad.Softmax, None, None),
-    "argmax": (ad.ArgMax, None, None),
-    "argmin": (ad.ArgMin, None, None),
-    "standardize": (ad.Standardize, None, None),
-    "relu": (ad.Relu, None, ()),
-    "sigma": (ad.Sigmoid, None, ()),
-    "exp": (ad.Exp, None, ()),
-    "log": (ad.Log, None, ()),
-    "neg": (ad.Neg, None, ()),
-    "dot": (ad.Contract, None, None),  # parse only; printed as infix .{axes}
-    "index": (ad.IndexSelect, None, (0,)),
-    "unroll": (ad.Unroll, None, (0, 1)),
-    "pool": (ad.Split, None, (0, 0, 1)),  # split{src, src, inner}
-    "split": (ad.Split, None, (0, 1, 2)),
-    "maxk": (ad.MaxK, None, (0, 1)),
-    "argmaxk": (ad.ArgMaxK, None, (0, 1)),
-    "det": (ad.Det, None, (0, 1)),
-    "inv": (ad.Inv, None, (0, 1)),
+    "sum": (ad.Sum, None), "min": (ad.Min, None), "max": (ad.Max, None),
+    "mean": (ad.Mean, None), "var": (ad.Variance, None), "norm": (ad.Norm, None),
+    "softmax": (ad.Softmax, None),
+    "argmax": (ad.ArgMax, None),
+    "argmin": (ad.ArgMin, None),
+    "standardize": (ad.Standardize, None),
+    "relu": (ad.Relu, ()),
+    "sigma": (ad.Sigmoid, ()),
+    "exp": (ad.Exp, ()),
+    "log": (ad.Log, ()),
+    "neg": (ad.Neg, ()),
+    "dot": (ad.Contract, None),  # parse only; printed as infix .{axes}
+    "index": (ad.IndexSelect, (0,)),
+    "unroll": (ad.Unroll, (0, 1)),
+    "pool": (ad.Split, (0, 0, 1)),  # split{src, src, inner}
+    "split": (ad.Split, (0, 1, 2)),
+    "maxk": (ad.MaxK, (0, 1)),
+    "argmaxk": (ad.ArgMaxK, (0, 1)),
+    "det": (ad.Det, (0, 1)),
+    "inv": (ad.Inv, (0, 1)),
 }
 
 _LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_POSTFIX, _LEVEL_ATOM = range(5)
@@ -330,7 +329,10 @@ class _Parser:
             return self.literal()
         if tok.kind == "NUMBER":
             self.advance()
-            return self._spanned(ad.Const(float(tok.text)), tok)
+            value = float(tok.text)
+            if value == math.inf:  # inf is no value; -1e400 is the atom -inf
+                raise ParseError(*self.at(tok), f"number {tok.text} overflows to inf")
+            return self._spanned(ad.Const(value), tok)
         if tok.kind == "-":
             # "-inf" and negative number literals are atoms
             nxt = self.peek(1)
@@ -391,7 +393,7 @@ class _Parser:
         self.depth -= 1
         if name.text not in _CALLS:
             raise ParseError(*self.at(name), f"unknown function {name.text!r}")
-        cls, kind, fill = _CALLS[name.text]
+        cls, fill = _CALLS[name.text]
         n_axes = None if fill is None else len(set(fill))
         for what, want, got in (("argument", len(cls._operands), len(args)),
                                 ("axis name", n_axes, len(axes))):
@@ -400,8 +402,7 @@ class _Parser:
                     *self.at(name),
                     f"{name.text} takes {want} {what}(s), got {got}",
                 )
-        params = [] if kind is None else [kind]
-        params += [tuple(axes)] if fill is None else [axes[b] for b in fill]
+        params = [tuple(axes)] if fill is None else [axes[b] for b in fill]
         node = cls(**dict(zip(cls._params, params)), **dict(zip(cls._operands, args)))
         return self._spanned(node, name)
 
@@ -525,19 +526,18 @@ def _call_form(node: ad.Expr):
     hold its field default: the parser could not build anything else.
     """
     params = node._key()
-    for name, (cls, kind, fill) in _CALLS.items():
-        if type(node) is not cls or (kind is not None and params[0] != kind):
+    for name, (cls, fill) in _CALLS.items():
+        if type(node) is not cls:
             continue
-        rest = params if kind is None else params[1:]
         if fill is None:
-            width, axes = 1, rest[0]
+            width, axes = 1, params[0]
         else:
             braces: dict = {}  # a position filled twice (pool) needs one name
-            if not all(braces.setdefault(b, p) == p for b, p in zip(fill, rest)):
+            if not all(braces.setdefault(b, p) == p for b, p in zip(fill, params)):
                 continue
             width, axes = len(fill), [braces[b] for b in range(len(braces))]
         defaults = {f.name: f.default for f in fields(node)}
-        for param in node._params[(kind is not None) + width:]:
+        for param in node._params[width:]:
             if getattr(node, param) != defaults[param]:
                 raise ValueError(
                     f"{name} with {param}={getattr(node, param)!r} has no surface syntax"

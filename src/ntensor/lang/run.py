@@ -11,6 +11,7 @@ same graph and draws, evaluating only what the target reads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -52,19 +53,25 @@ def _spliced(program: Program, seed: int) -> Tuple[Dict[str, NamedTensor], Dict[
     return {name: e.value for name, e in last.items() if isinstance(e, ad.Const)}, graphs
 
 
-def _run_error(err: ad.ExprError) -> RunError:
-    line, col = err.node.span or (0, 0)
-    return RunError(line, col, str(err.error))
+@contextmanager
+def _at_node_span():
+    """Re-raise an error a walk met at a node as a :class:`RunError` at the
+    node's span; an error with no node propagates as it is."""
+    try:
+        yield
+    except NamedTensorError as err:
+        if err.node is None:
+            raise
+        line, col = err.node.span or (0, 0)
+        raise RunError(line, col, str(err)) from err
 
 
 def run_program(program: Program, seed: int = 0) -> ProgramRun:
     """Evaluate the spliced graph of every binding; assumes the program
     checked clean."""
     values, graphs = _spliced(program, seed)
-    try:
+    with _at_node_span():
         values.update(ad.evaluate(graphs, values, axis_sizes=program.axis_sizes))
-    except ad.ExprError as err:
-        raise _run_error(err) from err
     run = ProgramRun()
     for st in program.statements:
         if isinstance(st, Binding):
@@ -115,8 +122,6 @@ def grad_program(
             f"'{wrt}' must be bound to a tensor or random literal to "
             f"differentiate with respect to it"
         )
-    try:
+    with _at_node_span():
         return ad.jacobian(graphs.get(of, ad.Var(of)), wrt, values,
                            axis_sizes=program.axis_sizes)
-    except ad.ExprError as err:
-        raise _run_error(err) from err

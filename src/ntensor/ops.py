@@ -12,10 +12,11 @@ the kernel computes the values of that shape.  The public function derived
 from the pair runs the kernel under one ``np.errstate(all="ignore")``, so
 kernels follow IEEE arithmetic without a warning, and reads ``kernel`` off
 itself as an :mod:`ntensor.autodiff` walk does.  Binary ops share
-``binary_shape``, elementwise unary ops ``unary_shape``, and
-``argmax``/``argmin`` use ``softmax_shape``.  The rules are the single
-source of truth for the static shape checker, so a program that passes
-checking cannot fail at runtime for shape reasons.
+``binary_shape``, elementwise unary ops ``unary_shape``, the six
+reductions (``sum_`` … ``norm_``) ``reduce_shape``, and ``softmax``,
+``argmax``, ``argmin`` and ``standardize`` ``softmax_shape``.  The rules
+are the single source of truth for the static shape checker, so a program
+that passes checking cannot fail at runtime for shape reasons.
 """
 
 from __future__ import annotations
@@ -43,17 +44,16 @@ from .tensor import NamedTensor, as_tensor
 __all__ = [
     "add", "sub", "mul", "div", "pow_", "neg",
     "map_elementwise", "relu", "sigmoid", "exp", "log", "sqrt",
-    "reduce", "contract", "softmax", "argmax", "argmin",
+    "sum_", "min_", "max_", "mean_", "var_", "norm_",
+    "contract", "softmax", "argmax", "argmin",
     "rename", "rename_many", "merge_axes", "split_axis", "unroll",
     "index_select", "maxk", "argmaxk", "det", "inv", "standardize",
     "identity", "identity_shape", "partial_index", "partial_index_shape",
     "binary_shape", "unary_shape", "reduce_shape", "contract_shape", "softmax_shape",
     "rename_shape", "rename_many_shape", "merge_shape", "split_shape", "unroll_shape",
     "index_select_shape", "maxk_shape", "argmaxk_shape",
-    "det_shape", "inv_shape", "standardize_shape",
+    "det_shape", "inv_shape",
 ]
-
-REDUCE_KINDS = ("sum", "min", "max", "mean", "var", "norm")
 
 PIVOT_RTOL = 1e-12
 
@@ -206,41 +206,56 @@ def sqrt(out, a: NamedTensor) -> NamedTensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def reduce_shape(s: Shape, kind: str, axes: Sequence[str]) -> Shape:
-    if kind not in REDUCE_KINDS:
-        raise ValueError(f"unknown reduction {kind!r}")
-    axes = _check_axis_list(s, axes)
-    return s.drop(axes)
+def reduce_shape(s: Shape, axes: Sequence[str]) -> Shape:
+    return s.drop(_check_axis_list(s, axes))
+
+
+def _reduced(out: Shape, a: NamedTensor, axes: Sequence[str], reduce: Callable) -> NamedTensor:
+    """``reduce(a.array, axis=...)`` jointly over ``axes``; over no axes,
+    each entry is its own fiber and the result is ``a`` itself."""
+    if not axes:
+        return a
+    return NamedTensor._own(out, reduce(a.array, axis=_axis_positions(a.shape, axes)))
 
 
 @_op(reduce_shape)
-def reduce(out, a: NamedTensor, kind: str, axes: Sequence[str]) -> NamedTensor:
-    """Joint reduction over the given axes: sum, min, max, mean, var, or norm.
+def sum_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The sum over the given axes, jointly."""
+    return _reduced(out, a, axes, np.ndarray.sum)
 
-    ``var`` is the population variance (1/n); ``norm`` is the 2-norm.
-    Reducing over an empty axis list treats each entry as its own fiber.
-    """
+
+@_op(reduce_shape)
+def min_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The minimum over the given axes, jointly."""
+    return _reduced(out, a, axes, np.ndarray.min)
+
+
+@_op(reduce_shape)
+def max_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The maximum over the given axes, jointly."""
+    return _reduced(out, a, axes, np.ndarray.max)
+
+
+@_op(reduce_shape)
+def mean_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The mean over the given axes, jointly."""
+    return _reduced(out, a, axes, np.ndarray.mean)
+
+
+@_op(reduce_shape)
+def var_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The population variance (1/n); over no axes, zeros."""
     if not axes:
-        if kind == "var":
-            return NamedTensor._own(out, np.zeros(out.sizes))
-        if kind == "norm":
-            return NamedTensor._own(out, np.abs(a.array))
-        return a
-    pos = _axis_positions(a.shape, axes)
-    arr = a.array
-    if kind == "sum":
-        res = arr.sum(axis=pos)
-    elif kind == "min":
-        res = arr.min(axis=pos)
-    elif kind == "max":
-        res = arr.max(axis=pos)
-    elif kind == "mean":
-        res = arr.mean(axis=pos)
-    elif kind == "var":
-        res = arr.var(axis=pos)
-    else:  # norm
-        res = np.sqrt((arr * arr).sum(axis=pos))
-    return NamedTensor._own(out, res)
+        return NamedTensor._own(out, np.zeros(out.sizes))
+    return _reduced(out, a, axes, np.ndarray.var)
+
+
+@_op(reduce_shape)
+def norm_(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
+    """The 2-norm; over no axes, ``|a|``."""
+    if not axes:
+        return NamedTensor._own(out, np.abs(a.array))
+    return _reduced(out, a, axes, lambda arr, axis: np.sqrt((arr * arr).sum(axis=axis)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +279,7 @@ def contract(out, a: NamedTensor, b: NamedTensor, axes: Sequence[str]) -> NamedT
     product over the axis union is never built, so temporary memory is
     bounded by the operands plus the output.  The summation order is
     matmul's, not that of summing the elementwise product, so the last
-    bits of a result may differ from ``reduce(mul(a, b), "sum", axes)``.
+    bits of a result may differ from ``sum_(mul(a, b), axes)``.
     The matmul runs on one BLAS thread (``_blas.one_thread``).
     """
     if not axes:
@@ -412,7 +427,9 @@ def split_shape(s: Shape, src: str, outer: Axis, inner: Axis) -> Shape:
     rest = s.drop([src])
     if outer.name in rest:
         raise NameCollision(f"axis {outer.name!r} already in shape {s}")
-    if inner.name in rest or inner.name == outer.name or inner.name == src:
+    if inner.name == outer.name:
+        raise NameCollision(f"split axes must be distinct, got {inner.name!r} twice")
+    if inner.name in rest or inner.name == src:
         raise NameCollision(f"axis {inner.name!r} already in shape {s}")
     return rest.union(Shape([outer, inner]))
 
@@ -631,15 +648,10 @@ def inv(out, a: NamedTensor, rows: str, cols: str) -> NamedTensor:
 # ---------------------------------------------------------------------------
 # standardization
 
-def standardize_shape(s: Shape, axes: Sequence[str]) -> Shape:
-    _check_axis_list(s, axes)
-    return s
-
-
 EPS = 1e-5  # keeps standardize finite on a constant fiber
 
 
-@_op(standardize_shape)
+@_op(softmax_shape)
 def standardize(out, a: NamedTensor, axes: Sequence[str]) -> NamedTensor:
     """(a - mean) / sqrt(var + EPS) over the given axes, lifted over the rest."""
     pos = _axis_positions(a.shape, axes)

@@ -38,10 +38,7 @@ def _value_or_graph(graph):
         axis.name: axis.size
         for node in order if isinstance(node, ad.Const) for axis in node.value.shape
     }
-    try:
-        values = list(ad.evaluate(dict(enumerate(roots)), axis_sizes=sizes).values())
-    except ad.ExprError as err:
-        raise err.error from None
+    values = list(ad.evaluate(dict(enumerate(roots)), axis_sizes=sizes).values())
     return values if isinstance(graph, list) else values[0]
 
 

@@ -44,7 +44,7 @@ def cbow(onehots, embeddings, proj) -> NamedTensor:
     ``proj`` over {classes, emb}.
     """
     embedded = ops.contract(embeddings, onehots, ["vocab"])
-    logits = ops.reduce(ops.contract(proj, embedded, ["emb"]), "sum", ["seq"])
+    logits = ops.sum_(ops.contract(proj, embedded, ["emb"]), ["seq"])
     return ops.softmax(logits, ["classes"])
 
 
@@ -54,14 +54,14 @@ def sudoku_check(grid) -> float:
     Checks one digit per cell, per row, per column, and per 3x3 box; the box
     constraint reshapes the board into a grid of grids first.
     """
-    cell = ops.reduce(grid, "sum", ["assign"])
-    per_col = ops.reduce(grid, "sum", ["height"])
-    per_row = ops.reduce(grid, "sum", ["width"])
+    cell = ops.sum_(grid, ["assign"])
+    per_col = ops.sum_(grid, ["height"])
+    per_row = ops.sum_(grid, ["width"])
     boxes = ops.split_axis(grid, "height", Axis("height'", 3), Axis("hh", 3))
     boxes = ops.rename(boxes, "hh", "height")
     boxes = ops.split_axis(boxes, "width", Axis("width'", 3), Axis("ww", 3))
     boxes = ops.rename(boxes, "ww", "width")
-    per_box = ops.reduce(boxes, "sum", ["height", "width"])
+    per_box = ops.sum_(boxes, ["height", "width"])
     ok = all(
         bool(np.all(t.array == 1.0))
         for t in (cell, per_col, per_row, per_box)
@@ -76,10 +76,10 @@ def kmeans_step(points, centers) -> NamedTensor:
     mass splits evenly over tied nearest clusters; a cluster that receives
     no mass keeps its previous center.
     """
-    distances = ops.reduce(ops.sub(centers, points), "norm", ["d"])
+    distances = ops.norm_(ops.sub(centers, points), ["d"])
     assign = ops.argmin(distances, ["clusters"])
     weighted = ops.contract(assign, points, ["batch"])
-    mass = ops.reduce(assign, "sum", ["batch"])
+    mass = ops.sum_(assign, ["batch"])
     new = weighted.array / np.where(mass.array == 0.0, 1.0, mass.array)[:, None]
     keep = (mass.array == 0.0)[:, None]
     merged = np.where(keep, centers.to_array(["clusters", "d"]), new)
@@ -100,7 +100,7 @@ def beam_step(scores, states, transition: TensorFunction,
     if beam_size > state_size:
         raise SizeMismatch(f"beam size {beam_size} exceeds {state_size} states")
     stepped = ops.mul(scores, lift.extend(transition, states))
-    best = ops.reduce(stepped, "max", ["beam"])
+    best = ops.max_(stepped, ["beam"])
     k = Axis("beam", beam_size)
     return ops.maxk(best, "state", k), ops.argmaxk(best, "state", k)
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ntensor import Axis, NamedTensor, Record, Shape, SplitMix64
-from ntensor import _blas
+from ntensor import _blas, ops
 from ntensor import autodiff as ad
 
 try:
@@ -77,6 +77,14 @@ def loop_elementwise(op, a: NamedTensor, b: NamedTensor) -> dict:
         rb = r.restrict(b.shape)
         out[rkey(r)] = op(da[rkey(ra)], db[rkey(rb)])
     return out
+
+
+# Each reduction op and node class by the kind ``loop_reduce`` takes, in one
+# fixed order, so seeded draws over the kinds pick the same cases.
+REDUCE_OPS = {"sum": ops.sum_, "min": ops.min_, "max": ops.max_,
+              "mean": ops.mean_, "var": ops.var_, "norm": ops.norm_}
+REDUCE_NODES = {"sum": ad.Sum, "min": ad.Min, "max": ad.Max,
+                "mean": ad.Mean, "var": ad.Variance, "norm": ad.Norm}
 
 
 def loop_reduce(a: NamedTensor, kind: str, axes) -> dict:
@@ -308,20 +316,19 @@ def fd_safe(expr: ad.Expr, env: dict, margin: float = 1e-3) -> bool:
             denom = vals[id(node.b)].array
             if denom.size and np.min(np.abs(denom)) < 0.05:
                 return False
-        elif isinstance(node, ad.Reduce):
-            if node.red in ("max", "min") and node.axes:
-                x = vals[id(node.child)]
-                pos = [x.shape.names.index(a) for a in node.axes]
-                moved = np.moveaxis(x.array, pos, range(-len(pos), 0))
-                flat = moved.reshape(moved.shape[: moved.ndim - len(pos)] + (-1,))
-                if flat.shape[-1] >= 2:
-                    ordered = np.sort(flat, axis=-1)
-                    if np.min(ordered[..., -1] - ordered[..., -2]) < margin:
-                        return False
-            if node.red == "norm":
-                out = vals[id(node)].array
-                if out.size and np.min(np.abs(out)) < margin:
+        elif isinstance(node, (ad.Max, ad.Min)) and node.axes:
+            x = vals[id(node.child)]
+            pos = [x.shape.names.index(a) for a in node.axes]
+            moved = np.moveaxis(x.array, pos, range(-len(pos), 0))
+            flat = moved.reshape(moved.shape[: moved.ndim - len(pos)] + (-1,))
+            if flat.shape[-1] >= 2:
+                ordered = np.sort(flat, axis=-1)
+                if np.min(ordered[..., -1] - ordered[..., -2]) < margin:
                     return False
+        elif isinstance(node, ad.Norm):
+            out = vals[id(node)].array
+            if out.size and np.min(np.abs(out)) < margin:
+                return False
     return True
 
 
@@ -361,7 +368,7 @@ def _random_composition_once(rng: SplitMix64):
         elif op == "standardize":
             expr = ad.standardize(expr, pick_subset(rng, cur.names))
         elif op in ("mean", "sum", "var", "max"):
-            expr = ad.reduce(expr, op, pick_subset(rng, cur.names))
+            expr = REDUCE_NODES[op](expr, pick_subset(rng, cur.names))
         elif op == "relu":
             expr = ad.relu(expr)
         elif op == "contract":
@@ -393,7 +400,7 @@ def _random_composition_once(rng: SplitMix64):
         count += 1
         cur = ad.infer_shape(expr, env)
         if cur.num_records > 48:
-            expr = ad.reduce(expr, "sum", [pick(rng, cur.names)])
+            expr = ad.sum_(expr, [pick(rng, cur.names)])
             cur = ad.infer_shape(expr, env)
     return expr, env
 

@@ -47,9 +47,9 @@ def test_criterion_1_worked_examples():
     assert ops.add(A, y).to_array(["height", "width"]).tolist() == [
         [4, 5, 5], [2, 9, 10], [3, 10, 6]]
 
-    assert ops.reduce(A, "sum", ["height"]).to_array(["width"]).tolist() == [6, 12, 18]
-    assert ops.reduce(A, "sum", ["width"]).to_array(["height"]).tolist() == [8, 15, 13]
-    assert ops.reduce(A, "sum", ["height", "width"]).item() == 36.0
+    assert ops.sum_(A, ["height"]).to_array(["width"]).tolist() == [6, 12, 18]
+    assert ops.sum_(A, ["width"]).to_array(["height"]).tolist() == [8, 15, 13]
+    assert ops.sum_(A, ["height", "width"]).item() == 36.0
 
     assert ops.contract(A, y, ["width"]).to_array(["height"]).tolist() == [11, 30, 31]
 
@@ -76,8 +76,8 @@ def test_criterion_2_lifting_oracles():
         shape = H.random_shape(rng, max_axes=3, max_size=4, min_axes=1)
         t = H.random_tensor(rng, shape)
         axes = H.pick_subset(rng, shape.names)
-        kind = H.pick(rng, ops.REDUCE_KINDS)
-        H.assert_matches(ops.reduce(t, kind, axes), H.loop_reduce(t, kind, axes),
+        kind = H.pick(rng, tuple(H.REDUCE_OPS))
+        H.assert_matches(H.REDUCE_OPS[kind](t, axes), H.loop_reduce(t, kind, axes),
                          atol=1e-12)
 
     rng = SplitMix64(778)
@@ -335,7 +335,7 @@ def test_criterion_5_zoo_oracles():
     grid = [[[cx + 0.1, cy - 0.3] for cy in centers_1d] for cx in centers_1d]
     densities = zoo.mvn_density(
         NamedTensor.from_nested(grid, ["gx", "gy", "d"]), mean, cov)
-    total = ops.reduce(densities, "sum", ["gx", "gy"]).item() * step * step
+    total = ops.sum_(densities, ["gx", "gy"]).item() * step * step
     assert abs(total - 1.0) < 0.02
     _report(5, "zoo oracle suite", started, 120.0)
 

@@ -36,8 +36,8 @@ CALLS = {
     "neg": [(X,)], "relu": [(X,)], "sigmoid": [(X,)], "exp": [(X,)],
     "log": [(X,)], "sqrt": [(X,)],
     "map_elementwise": [(lambda v: 2.0 * v, X)],
-    "reduce": [(t, kind, axes) for kind in ops.REDUCE_KINDS
-               for t, axes in ((X, ["a"]), (M, ["c"]), (M, ["r", "c"]), (M, []))],
+    **{name: [(t, axes) for t, axes in ((X, ["a"]), (M, ["c"]), (M, ["r", "c"]), (M, []))]
+       for name in ("sum_", "min_", "max_", "mean_", "var_", "norm_")},
     "contract": [(X, Y, []), (X, X, ["a"]), (M, ops.rename(M, "r", "s"), ["c"])],
     "softmax": [(M, ["c"]), (M, ["r", "c"])],
     "argmax": [(X, ["a"]), (M, ["c"])],
@@ -81,13 +81,14 @@ def test_unary_kernels_equal_numpy(name, f):
     assert np.array_equal(getattr(ops, name)(X).array, want, equal_nan=True)
 
 
-# every elementwise node class, by its name in the language
-UNARY = {cls for cls in ad.Unary.__subclasses__() if cls.__module__ == ad.__name__}
-SURFACE = {cls: name for name, (cls, *_) in _CALLS.items()}
+# every elementwise and reduction node class, by its name in the language
+UNARY, REDUCE = ({cls for cls in base.__subclasses__() if cls.__module__ == ad.__name__}
+                 for base in (ad.Unary, ad.Reduce))
+SURFACE = {cls: name for name, (cls, _) in _CALLS.items()}
 NODES = {
     **{SURFACE.get(cls, cls.__name__.lower()): cls for cls in UNARY},
-    **{f"{kind}{axes}": (lambda x, kind=kind, axes=axes: ad.reduce(x, kind, axes))
-       for kind in ops.REDUCE_KINDS for axes in (["c"], ["r", "c"], [])},
+    **{f"{SURFACE[cls]}{axes}": (lambda x, cls=cls, axes=axes: cls(x, axes))
+       for cls in REDUCE for axes in (["c"], ["r", "c"], [])},
     "softmax": lambda x: ad.softmax(x, ["c"]),
     "standardize": lambda x: ad.standardize(x, ["c"]),
 }

@@ -128,7 +128,7 @@ def test_extension_crossing_base_is_rejected():
     # extension axis of one operand matching the other operand's base axis
     dot = TensorFunction(
         (Shape.of(ax=2), Shape()), Shape(),
-        lambda a, b: ops.reduce(a, "sum", ["ax"]).item() * b.item(),
+        lambda a, b: ops.sum_(a, ["ax"]).item() * b.item(),
         name="sum_times",
     )
     a = NamedTensor.from_nested([1.0, 2.0], ["ax"])
@@ -157,7 +157,7 @@ def test_wrong_operand_count_is_a_type_error():
 def test_call_checks_operand_count_and_shapes(kind):
     if kind == "callable":
         total = TensorFunction((Shape.of(a=2),), Shape(),
-                               lambda x: ops.reduce(x, "sum", ["a"]), name="total")
+                               lambda x: ops.sum_(x, ["a"]), name="total")
     else:
         total = TensorFunction((Shape.of(a=2),), Shape(), ad.sum_(ad.var("x"), ["a"]),
                                name="total", params=("x",))
@@ -237,9 +237,9 @@ def test_slice_correctness_random_bases(seed):
 
     kinds = {
         "sum": TensorFunction((base_shape,), Shape(),
-                              lambda x: ops.reduce(x, "sum", axes), name="sum"),
+                              lambda x: ops.sum_(x, axes), name="sum"),
         "max": TensorFunction((base_shape,), Shape(),
-                              lambda x: ops.reduce(x, "max", axes), name="max"),
+                              lambda x: ops.max_(x, axes), name="max"),
         "softmax": TensorFunction((base_shape,), base_shape,
                                   lambda x: ops.softmax(x, axes), name="softmax"),
         "dot": TensorFunction((base_shape, base_shape), Shape(),

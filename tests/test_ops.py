@@ -63,12 +63,12 @@ def test_binary_incompatible():
 # reductions
 
 def test_reduce_worked_values():
-    assert ops.reduce(A, "sum", ["height"]).to_array(["width"]).tolist() == [6, 12, 18]
-    assert ops.reduce(A, "sum", ["width"]).to_array(["height"]).tolist() == [8, 15, 13]
-    assert ops.reduce(A, "sum", ["height", "width"]).item() == 36.0
-    assert ops.reduce(A, "max", ["width"]).to_array(["height"]).tolist() == [4, 9, 6]
+    assert ops.sum_(A, ["height"]).to_array(["width"]).tolist() == [6, 12, 18]
+    assert ops.sum_(A, ["width"]).to_array(["height"]).tolist() == [8, 15, 13]
+    assert ops.sum_(A, ["height", "width"]).item() == 36.0
+    assert ops.max_(A, ["width"]).to_array(["height"]).tolist() == [4, 9, 6]
     with pytest.raises(MissingAxis):
-        ops.reduce(A, "sum", ["chans"])
+        ops.sum_(A, ["chans"])
 
 
 def test_multi_axis_reduce_equals_iterated():
@@ -77,10 +77,10 @@ def test_multi_axis_reduce_equals_iterated():
         shape = H.random_shape(rng, max_axes=4, max_size=5, min_axes=2)
         t = H.random_tensor(rng, shape)
         axes = H.pick_subset(rng, shape.names, min_count=2)
-        joint = ops.reduce(t, "sum", axes)
+        joint = ops.sum_(t, axes)
         stepwise = t
         for a in axes:
-            stepwise = ops.reduce(stepwise, "sum", [a])
+            stepwise = ops.sum_(stepwise, [a])
         assert joint.allclose(stepwise, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_contract_equals_reduce_of_product():
         H.assert_matches(ops.contract(a, b, axes), H.loop_contract(a, b, axes), atol=1e-12)
         ia = NamedTensor(sa, np.round(8.0 * a.array))
         ib = NamedTensor(sb, np.round(8.0 * b.array))
-        assert ops.contract(ia, ib, axes) == ops.reduce(ops.mul(ia, ib), "sum", axes)
+        assert ops.contract(ia, ib, axes) == ops.sum_(ops.mul(ia, ib), axes)
 
 
 def test_contract_matches_loop_oracle_on_random_groupings():
@@ -257,7 +257,7 @@ def test_nan_fiber_rule():
     others = [{"row": 1}, {"row": 3}]
     for op in (
         lambda t: ops.softmax(t, ["ax"]),
-        lambda t: ops.reduce(t, "max", ["ax"]),
+        lambda t: ops.max_(t, ["ax"]),
         lambda t: ops.argmax(t, ["ax"]),
         lambda t: ops.argmin(t, ["ax"]),
     ):
@@ -283,7 +283,7 @@ def test_softmax_properties():
         t = H.random_tensor(rng, shape, lo=-3, hi=3)
         axes = H.pick_subset(rng, shape.names)
         sm = ops.softmax(t, axes)
-        sums = ops.reduce(sm, "sum", axes)
+        sums = ops.sum_(sm, axes)
         assert np.allclose(sums.array, 1.0, atol=1e-12)
         shifted = ops.softmax(ops.add(t, 0.7), axes)
         assert sm.allclose(shifted, atol=1e-12)
@@ -326,6 +326,22 @@ def test_split_pool_semantics():
             NamedTensor.from_nested([1, 2, 3, 4, 5], ["seq"]),
             "seq", Axis("seq", 2), Axis("kernel", 2),
         )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ops.split_axis(A, "height", Axis("h", 3), Axis("h", 1)), NameCollision,
+     "split axes must be distinct, got 'h' twice"),
+    (lambda: ops.identity(Axis("a", 2), Axis("b", 3)), SizeMismatch,
+     "identity axes a[2] and b[3] differ in size"),
+    (lambda: ops.identity(Axis("a", 2), Axis("a", 2)), NameCollision,
+     "identity axes must have distinct names, got 'a'"),
+    (lambda: ops.rename_many(A, {"height": "width"}), NameCollision,
+     "renaming {'height': 'width'} collides on {height[3], width[3]}"),
+], ids=["split_outer_is_inner", "identity_sizes", "identity_names", "rename_many_onto_kept"])
+def test_structural_rules_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_split_then_merge_round_trip():
@@ -420,7 +436,7 @@ def test_maxk_defining_identity_random():
         top = ops.maxk(t, "ax", Axis("k", k))
         sel = ops.argmaxk(t, "ax", Axis("k", k))
         assert ops.contract(t, sel, ["ax"]) == top
-        assert top.get({"k": 1}) == ops.reduce(t, "max", ["ax"]).item()
+        assert top.get({"k": 1}) == ops.max_(t, ["ax"]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +568,8 @@ def test_loop_oracle_equivalence(cls):
         t = H.random_tensor(rng, shape)
         if cls == "reduce":
             axes = H.pick_subset(rng, shape.names)
-            kind = H.pick(rng, ops.REDUCE_KINDS)
-            H.assert_matches(ops.reduce(t, kind, axes), H.loop_reduce(t, kind, axes),
+            kind = H.pick(rng, tuple(H.REDUCE_OPS))
+            H.assert_matches(H.REDUCE_OPS[kind](t, axes), H.loop_reduce(t, kind, axes),
                              atol=1e-12)
         elif cls == "elementwise":
             other = H.random_shape(rng, max_axes=3, max_size=5)

@@ -145,6 +145,16 @@ def test_text_format_round_trip():
         assert text.startswith("shape:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("shap: a=2\n1 2\n", "tensor text must start with a 'shape:' line"),
+    ("shape: a=2\n1 2 3\n", "expected 2 values for shape {a[2]}, got 3"),
+], ids=["bad_header", "value_count"])
+def test_from_text_refuses_malformed_text(text, message):
+    with pytest.raises(ValueError) as err:
+        NamedTensor.from_text(text)
+    assert str(err.value) == message
+
+
 def test_text_format_layout():
     text = A.to_text()
     lines = text.splitlines()

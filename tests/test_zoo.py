@@ -117,7 +117,7 @@ def test_conv1d_identity_kernel():
     x = H.random_tensor(SplitMix64(67), Shape.of(chans=1, seq=5))
     w = NamedTensor.filled(Shape.of(chans=1, kernel=1), 1.0)
     out = zoo.conv1d(x, w, 0.0)
-    assert out == ops.reduce(x, "sum", ["chans"])
+    assert out == ops.sum_(x, ["chans"])
 
 
 def test_conv1d_equals_sliding_window_loop():
@@ -206,7 +206,7 @@ def test_norm_layers_lift_over_an_extra_axis():
 def test_transformer_rows_sum_to_one():
     onehots, _, _, params, _ = fixtures.build_transformer(3)
     out = zoo.transformer_lm(NamedTensor.from_nested(onehots, ["seq", "vocab"]), params)
-    sums = ops.reduce(out, "sum", ["vocab"])
+    sums = ops.sum_(out, ["vocab"])
     assert np.allclose(sums.array, 1.0, atol=1e-12)
 
 
@@ -374,7 +374,7 @@ def test_transformer_program_parameter_gradient_matches_finite_differences(wrt):
 def test_lenet_rows_sum_to_one():
     x0, _, params = fixtures.build_lenet(6)
     out = zoo.lenet(NamedTensor.from_nested(x0, ["batch", "chans", "height", "width"]), params)
-    sums = ops.reduce(out, "sum", ["classes"])
+    sums = ops.sum_(out, ["classes"])
     assert np.allclose(sums.array, 1.0, atol=1e-12)
 
 
@@ -414,8 +414,8 @@ def test_prob_ops_independent_case():
     for e in (1, 2):
         assert posterior.partial_index({"effect": e}).allclose(prior, atol=1e-15)
     # chain-rule consistency: sum_B joint = p(A) exactly
-    assert ops.reduce(joint, "sum", ["effect"]).allclose(prior, atol=1e-16)
-    assert np.isclose(ops.reduce(marginal, "sum", ["effect"]).item(), 1.0)
+    assert ops.sum_(joint, ["effect"]).allclose(prior, atol=1e-16)
+    assert np.isclose(ops.sum_(marginal, ["effect"]).item(), 1.0)
 
 
 def test_prob_ops_zero_marginal_raises():
@@ -477,7 +477,7 @@ def test_kmeans_fixed_point():
 def test_kmeans_equidistant_point_splits_mass():
     centers = NamedTensor.from_nested([[0.0, 0.0], [2.0, 0.0]], ["clusters", "d"])
     point = NamedTensor.from_nested([[1.0, 0.0]], ["batch", "d"])
-    distances = ops.reduce(ops.sub(centers, point), "norm", ["d"])
+    distances = ops.norm_(ops.sub(centers, point), ["d"])
     assign = ops.argmin(distances, ["clusters"])
     assert assign.to_array(["clusters", "batch"]).tolist() == [[0.5], [0.5]]
 
@@ -498,17 +498,17 @@ def test_beam_size_one_is_greedy():
         5,
         1,
     )
-    best = ops.reduce(
+    best = ops.max_(
         ops.mul(
             NamedTensor.from_nested(scores, ["beam"]),
             NamedTensor.from_nested(
                 [[sum(trans[s][sp] * states[0][s] for s in range(5)) + offset[sp]
                   for sp in range(5)]], ["beam", "state"]),
         ),
-        "max", ["beam"],
+        ["beam"],
     )
-    assert new_scores.get({"beam": 1}) == ops.reduce(best, "max", ["state"]).item()
-    assert ops.reduce(new_states, "sum", ["state"]).to_array(["beam"]).tolist() == [1.0]
+    assert new_scores.get({"beam": 1}) == ops.max_(best, ["state"]).item()
+    assert ops.sum_(new_states, ["state"]).to_array(["beam"]).tolist() == [1.0]
 
 
 def test_beam_larger_than_the_state_count_raises():
@@ -578,5 +578,5 @@ def test_mvn_integrates_to_one_on_grid():
              for cy in centers] for cx in centers]
     x = NamedTensor.from_nested(grid, ["gx", "gy", "d"])
     densities = zoo.mvn_density(x, mean, cov)
-    total = ops.reduce(densities, "sum", ["gx", "gy"]).item() * step * step
+    total = ops.sum_(densities, ["gx", "gy"]).item() * step * step
     assert abs(total - 1.0) < 0.02

@@ -135,7 +135,7 @@ def _eager_lenet(x0, params):
         h, w = x.shape.size("height"), x.shape.size("width")
         pooled = ops.split_axis(x, "height", Axis("height", h // k), Axis("kh", k))
         pooled = ops.split_axis(pooled, "width", Axis("width", w // k), Axis("kw", k))
-        return ops.reduce(pooled, "max", ["kh", "kw"])
+        return ops.max_(pooled, ["kh", "kw"])
 
     k = models.LENET_POOL
     t1 = ops.relu(conv(x0, params["conv1_w"], params["conv1_b"]))
