@@ -570,79 +570,136 @@ def inv_shape(s: Shape, rows: str, cols: str) -> Shape:
     return s
 
 
-def _gauss_jordan(a: NamedTensor, rows: str, cols: str):
-    """Determinants and inverses of every (rows, cols) matrix of ``a`` at once.
+def _gauss_jordan(a: NamedTensor, rows: str, cols: str, inverse: bool) -> np.ndarray:
+    """Determinants, or inverses when ``inverse``, of every (rows, cols)
+    matrix of ``a`` at once.
 
-    Gauss–Jordan elimination with partial pivoting runs on the whole
-    (batch, n, n) stack; only the n columns are a Python loop.  A column's
-    pivot is its largest |entry| on or below the diagonal, first on ties,
-    and a row whose multiplier is 0 is left untouched.  A pivot below
-    ``PIVOT_RTOL`` times the largest |entry| of its own matrix raises
-    :class:`SingularMatrix`; a matrix holding NaN or ±inf gets a NaN
-    determinant and an all-NaN inverse instead.  Each matrix is eliminated
-    scaled by the power of two ``2**-k`` that brings its largest |entry|
-    into [1, 2), so no entry overflows; powers of two scale exactly, so
-    pivots and the singularity test are those of the unscaled matrix.
+    Elimination with partial pivoting runs on the whole stack; only the n
+    columns are a Python loop.  A column's pivot is its largest |entry| on
+    or below the diagonal, first on ties.  The pivot row is swapped up and
+    divided by the pivot, and each other row ``x`` becomes ``x - g*y`` only
+    where its multiplier ``g`` is not 0, so a row with no multiplier keeps
+    its signed zeros.  For a determinant this runs forward only, on ``m``:
+    a step updates the rows below the pivot in the columns right of it,
+    which is all that later steps read, and the determinant is the product
+    of the pivots, each negated where its step swapped rows.  For an
+    inverse it is Gauss–Jordan on ``[m | I]``: a step updates every row in
+    the columns right of the pivot's, as columns at or left of it are never
+    read again.  Both take the same pivots and swaps, so they agree on
+    which matrices are singular.
 
-    Returns the determinants (an array over the other axes of ``a``, in
-    order) and the inverses laid out like ``a``, transposed so that
-    contracting with ``a`` over either axis gives the identity.
+    A pivot below ``PIVOT_RTOL`` times the largest |entry| of its own
+    matrix raises :class:`SingularMatrix`, for the first column where one
+    falls short and, among the matrices failing there, the first; a zero
+    matrix raises before any pivot.  When ``a`` has other axes, the message
+    ends with that matrix's record.  A matrix holding NaN or ±inf gets a
+    NaN determinant and an all-NaN inverse instead.  Each matrix is
+    eliminated scaled by the power of two ``2**-k`` that brings its largest
+    |entry| into [1, 2), so no entry overflows; powers of two scale
+    exactly, so pivots and the singularity test are those of the unscaled
+    matrix.
+
+    Returns an array over the other axes of ``a``, in order, or the
+    inverses laid out like ``a``, transposed so that contracting with ``a``
+    over either axis gives the identity.
     """
-    names = list(a.shape.names)
+    names = a.shape.names
     rpos, cpos = names.index(rows), names.index(cols)
     stack = np.moveaxis(a.array, (rpos, cpos), (-2, -1))
-    n = stack.shape[-1]
-    eye = np.eye(n)
-    bad = ~np.isfinite(stack).all(axis=(-2, -1)).reshape(-1)
-    m = np.where(bad[:, None, None], eye, stack.reshape(-1, n, n))
-    scale = np.abs(m).max(axis=(1, 2))
+    batch, n = stack.shape[:-2], stack.shape[-1]
+    scale = np.abs(stack).max(axis=(-2, -1)).reshape(-1)
+    bad = ~np.isfinite(scale)  # the matrices holding NaN or ±inf
+    if bad.any():
+        stack = np.where(bad.reshape(batch + (1, 1)), np.eye(n), stack)
+        scale[bad] = 1.0
     if np.any(scale == 0.0):
-        raise SingularMatrix("zero matrix")
+        raise SingularMatrix("zero matrix" + _at(a, rows, cols, int(np.argmax(scale == 0.0))))
     k = np.frexp(scale)[1] - 1
-    m = np.ldexp(m, -k[:, None, None])
-    tol = PIVOT_RTOL * np.ldexp(scale, -k)  # each scaled matrix's scale is in [1, 2)
-    aug = np.concatenate([m, np.broadcast_to(eye, m.shape)], axis=2)  # [m | I]
-    dets = np.ones(len(m))
-    at = np.arange(len(m))
+    count, width = len(scale), 2 * n if inverse else n
+    # aug[j, r, b] is entry (r, j) of matrix b, so the columns right of a
+    # pivot are one contiguous block, as is each column across all matrices
+    aug = np.empty((width, n, count))
+    np.ldexp(stack, -k.reshape(batch + (1, 1)), out=aug[:n].T.reshape(stack.shape))
+    if inverse:
+        aug[n:] = np.eye(n)[:, :, None]
+    row, products = np.empty((width, count)), np.empty(aug.size)
+    pivots, perm = np.empty((n, count)), np.empty((n, count), dtype=np.intp)
+    at, columns = np.arange(count), np.arange(width)[:, None]
     for c in range(n):
-        p = c + np.argmax(np.abs(aug[:, c:, c]), axis=1)
-        pivot = aug[at, p, c]
-        low = np.abs(pivot) < tol
-        if low.any():
-            i = int(np.argmax(low))
-            raise SingularMatrix(
-                f"pivot {np.ldexp(pivot[i], k[i]):.3g} below {PIVOT_RTOL:g} "
-                f"of matrix scale {scale[i]:.3g}"
-            )
-        dets = np.where(p != c, -dets, dets) * pivot
-        aug[:, c], aug[at, p] = aug[at, p], aug[:, c].copy()
-        g = aug[:, :, c, None].copy()  # multipliers; the pivot row's own is 0
-        g[:, c] = 0.0
-        aug[:, c] /= pivot[:, None]
-        aug -= np.where(g != 0.0, g * aug[:, None, c], 0.0)
-    dets = np.ldexp(dets, k * n)
-    inverse = np.ldexp(aug[:, :, n:], -k[:, None, None])
-    dets[bad] = np.nan
-    inverse[bad] = np.nan
-    inverse = np.moveaxis(inverse.reshape(stack.shape), (-1, -2), (rpos, cpos))
-    return dets.reshape(stack.shape[:-2]), inverse
+        live = slice(c + 1, width)
+        below = slice(None) if inverse else slice(c + 1, n)
+        p = perm[c] = c + np.argmax(np.abs(aug[c, c:]), axis=0)
+        pivot = pivots[c] = aug[c, p, at]
+        pivot_row = aug[live, p, at]
+        aug[c:, p, at] = aug[c:, c]  # row c to row p; row c itself is dead or rewritten
+        np.divide(pivot_row, pivot, out=row[live])
+        g = aug[c, below]  # the multipliers
+        update = products[: (width - c - 1) * g.size].reshape((width - c - 1,) + g.shape)
+        # The product's inner loop runs down a column.  For a stack, the
+        # pivot row is first repeated down the rows, as a broadcast product
+        # would loop over the batch alone.
+        if count == 1:
+            np.multiply(row[live, None], g, out=update)
+        else:
+            repeated = np.broadcast_to(columns[live], update.shape[:2])
+            np.take(row, repeated, axis=0, out=update, mode="clip")  # in range: skip the check
+            np.multiply(update, g, out=update)
+        if not g.all():
+            np.copyto(update, 0.0, where=g == 0.0)
+        block = aug[live, below]
+        np.subtract(block, update, out=block)
+        if inverse:
+            aug[live, c] = row[live]
+    # Tested once the loop is done: a failing matrix runs on in NaN and ±inf,
+    # but no other matrix reads it, and the columns before the first failing
+    # one are as the elimination that stops there leaves them.
+    low = np.abs(pivots) < PIVOT_RTOL * np.ldexp(scale, -k)  # a scaled matrix's scale is in [1, 2)
+    if low.any():
+        c = int(np.argmax(low.any(axis=1)))
+        i = int(np.argmax(low[c]))
+        raise SingularMatrix(
+            f"pivot {np.ldexp(pivots[c, i], k[i]):.3g} below {PIVOT_RTOL:g} "
+            f"of matrix scale {scale[i]:.3g}" + _at(a, rows, cols, i)
+        )
+    if not inverse:
+        signed = np.where(perm != np.arange(n)[:, None], -pivots, pivots)
+        dets = np.ldexp(np.multiply.reduce(signed, axis=0), k * n)  # in column order
+        dets[bad] = np.nan
+        return dets.reshape(batch)
+    out = np.empty(a.array.shape)
+    view = np.moveaxis(out, (rpos, cpos), (-1, -2))
+    np.ldexp(aug[n:].T.reshape(view.shape), -k.reshape(batch + (1, 1)), out=view)
+    view[bad.reshape(batch)] = np.nan
+    return out
+
+
+def _at(a: NamedTensor, rows: str, cols: str, i: int) -> str:
+    """`` at {…}``: the record of the ``i``-th matrix of ``a``'s stack over
+    its other axes, or nothing when it has none."""
+    batch = a.shape.drop([rows, cols])
+    if not len(batch):
+        return ""
+    index = np.unravel_index(i, batch.sizes)
+    return f" at {Record({name: int(j) + 1 for name, j in zip(batch.names, index)})!r}"
 
 
 @_op(det_shape)
 def det(out, a: NamedTensor, rows: str, cols: str) -> NamedTensor:
-    """Determinant of the matrix over (rows, cols), lifted over other axes."""
-    return NamedTensor._own(out, _gauss_jordan(a, rows, cols)[0])
+    """Determinant of the matrix over (rows, cols), lifted over other axes:
+    forward elimination on the pivots ``inv`` takes."""
+    return NamedTensor._own(out, _gauss_jordan(a, rows, cols, inverse=False))
 
 
 @_op(inv_shape)
 def inv(out, a: NamedTensor, rows: str, cols: str) -> NamedTensor:
-    """Matrix inverse over (rows, cols), lifted over other axes.
+    """Matrix inverse over (rows, cols), lifted over other axes, by
+    Gauss–Jordan elimination.
 
     The result is oriented so that contracting it with ``a`` over either
     shared axis (after renaming the other on one side) yields the identity
     matrix; for symmetric input it is the plain inverse.
     """
-    return NamedTensor._own(out, _gauss_jordan(a, rows, cols)[1])
+    return NamedTensor._own(out, _gauss_jordan(a, rows, cols, inverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ vectorized code paths they are checking.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 
-from ntensor import Axis, NamedTensor, Record, Shape, SplitMix64
+from ntensor import Axis, NamedTensor, Record, Shape, SingularMatrix, SplitMix64
 from ntensor import _blas, ops
 from ntensor import autodiff as ad
 
@@ -34,13 +35,17 @@ PINNED_UNDER = ("numpy 2.4.6, OpenBLAS core SkylakeX, "
                 "numpy dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 
+def enabled_dispatch() -> list:
+    """numpy's dispatch targets enabled in this process: AVX2 and AVX-512."""
+    return [name for name in _umath.__cpu_dispatch__
+            if _umath.__cpu_features__.get(name) and ("AVX" in name or "X86_V" in name)]
+
+
 def numeric_environment() -> str:
     """numpy's version, OpenBLAS's core name and numpy's enabled AVX2 and
     AVX-512 dispatch targets in this process, in ``PINNED_UNDER``'s form."""
-    enabled = [name for name in _umath.__cpu_dispatch__
-               if _umath.__cpu_features__.get(name) and ("AVX" in name or "X86_V" in name)]
     return (f"numpy {np.__version__}, OpenBLAS core {_blas.core_name()}, "
-            f"numpy dispatch {' '.join(enabled) or 'none'}")
+            f"numpy dispatch {' '.join(enabled_dispatch()) or 'none'}")
 
 
 def pin_mismatch() -> str:
@@ -226,6 +231,112 @@ def loop_index_select(a: NamedTensor, ax: str, idx: NamedTensor) -> dict:
         a_rec = Record(dict(list(r.restrict(rest)) + [(ax, i)]))
         out[rkey(r)] = da[rkey(a_rec)]
     return out
+
+
+def gauss_jordan_reference(m: list) -> tuple:
+    """The determinant and inverse of one n×n matrix of lists, by the rule
+    ``ops.det`` and ``ops.inv`` document, one Python float at a time.
+
+    A matrix holding NaN or ±inf has a NaN determinant and an all-NaN
+    inverse.  Otherwise it is scaled by ``2**-k``, which brings its largest
+    |entry| into [1, 2); each column's pivot is its largest |entry| on or
+    below the diagonal, first on ties; a pivot below ``PIVOT_RTOL`` of the
+    matrix scale raises :class:`SingularMatrix` with the unbatched message.
+    The pivot row is swapped up and normalised, and every other row ``x``
+    becomes ``x - g*y`` only where its multiplier ``g`` is not 0.  Returns
+    ``(det, inv)`` with ``inv[i][j]`` the inverse's entry at row i, column j.
+    """
+    n = len(m)
+    if not all(math.isfinite(v) for row in m for v in row):
+        return math.nan, [[math.nan] * n for _ in range(n)]
+    scale = max(abs(v) for row in m for v in row)
+    if scale == 0.0:
+        raise SingularMatrix("zero matrix")
+    k = math.frexp(scale)[1] - 1
+    tol = ops.PIVOT_RTOL * math.ldexp(scale, -k)
+    aug = [[math.ldexp(v, -k) for v in row] + [float(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    det = 1.0
+    for c in range(n):
+        p = c
+        for r in range(c + 1, n):
+            if abs(aug[r][c]) > abs(aug[p][c]):
+                p = r
+        pivot = aug[p][c]
+        if abs(pivot) < tol:
+            raise SingularMatrix(f"pivot {math.ldexp(pivot, k):.3g} below {ops.PIVOT_RTOL:g} "
+                                 f"of matrix scale {scale:.3g}")
+        det = (-det if p != c else det) * pivot
+        aug[c], aug[p] = aug[p], aug[c]
+        g = [row[c] for row in aug]
+        g[c] = 0.0
+        aug[c] = [v / pivot for v in aug[c]]
+        for r in range(n):
+            if g[r] != 0.0:
+                aug[r] = [x - g[r] * y for x, y in zip(aug[r], aug[c])]
+    with np.errstate(all="ignore"):  # a determinant may overflow or underflow
+        inverse = [[float(np.ldexp(v, -k)) for v in row[n:]] for row in aug]
+        return float(np.ldexp(det, k * n)), inverse
+
+
+MATRIX_KINDS = ("random", "integers", "diagonal", "negated_permutation", "huge", "tiny",
+                "non_finite")
+
+
+def random_matrices(rng: np.random.Generator, kind: str, count: int, n: int) -> np.ndarray:
+    """``count`` n×n matrices of one kind, stacked (count, n, n).
+
+    ``integers`` draws from -2..2, so pivots tie and multipliers are 0 and
+    many matrices are singular; ``non_finite`` puts NaN, +inf or -inf in
+    about half of them."""
+    if kind == "integers":
+        return rng.integers(-2, 3, (count, n, n)).astype(np.float64)
+    if kind == "diagonal":
+        return np.eye(n) * rng.choice([-4.0, -1.5, -1.0, 0.5, 2.0, 3.0], (count, 1, n))
+    if kind == "negated_permutation":
+        return -np.eye(n)[np.argsort(rng.random((count, n)), axis=1)]
+    m = rng.standard_normal((count, n, n))
+    if kind == "huge":
+        return m * 1e300
+    if kind == "tiny":
+        return m * 1e-300
+    if kind == "non_finite":
+        odd = rng.random(count) < 0.5
+        m[odd, rng.integers(0, n, count)[odd], rng.integers(0, n, count)[odd]] = (
+            rng.choice([np.nan, np.inf, -np.inf], int(odd.sum())))
+    return m
+
+
+def linalg_family():
+    """A seeded family of finite and non-finite, nonsingular stacks, with
+    batches both short and long against the row width, batch axes on both
+    sides of the matrix axes and both (rows, cols) orders: ``(tensor, rows,
+    cols)`` triples."""
+    rng = np.random.default_rng(2102)
+    for i, (n, batch) in enumerate(((1, 7), (2, 1), (3, 64), (4, 512), (5, 3), (8, 256),
+                                    (8, 2), (16, 1), (16, 40), (33, 2), (64, 1))):
+        for kind in ("random", "diagonal", "negated_permutation", "huge", "tiny",
+                     "non_finite"):
+            m = random_matrices(rng, kind, batch, n)
+            if kind not in ("diagonal", "negated_permutation"):  # strong pivots, rows shuffled
+                unit = {"huge": 1e300, "tiny": 1e-300}.get(kind, 1.0)
+                order = np.argsort(rng.random((batch, n)), axis=1)
+                m = np.take_along_axis(m + 4.0 * n * unit * np.eye(n), order[:, :, None], axis=1)
+            names = ["a" if i % 2 else "e", "d1", "d2"]
+            rows, cols = ("d1", "d2") if i % 3 else ("d2", "d1")
+            if batch == 1:
+                yield NamedTensor.from_array(m[0], names[1:]), rows, cols
+            else:
+                yield NamedTensor.from_array(m, names), rows, cols
+
+
+def linalg_digest() -> str:
+    """sha256 of the bytes of ``ops.det`` and ``ops.inv`` over ``linalg_family``."""
+    h = hashlib.sha256()
+    for t, rows, cols in linalg_family():
+        for result in (ops.det(t, rows, cols), ops.inv(t, rows, cols)):
+            h.update(np.ascontiguousarray(result.to_array(list(result.shape.names))).tobytes())
+    return h.hexdigest()
 
 
 def assert_matches(t: NamedTensor, expected: dict, atol: float = 0.0):

@@ -264,3 +264,16 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "# Total\nshape:\n36\n" in proc.stdout
+
+
+def test_eval_batched_singular_matrix_names_the_matrix(tmp_path, capsys):
+    source = tmp_path / "stack.nt"
+    source.write_text(
+        "axis b = 3\naxis d1 = 2\naxis d2 = 2\n"
+        "S = [[[1, 0], [0, 1]], [[1, 2], [2, 4]], [[2, 0], [0, 2]]] over (b, d1, d2)\n"
+        "D = det{d1, d2}(S)\nprint D\n"
+    )
+    assert main(["eval", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "5:5: error: pivot 0 below 1e-12 of matrix scale 4 at {b(2)}\n"

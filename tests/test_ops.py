@@ -1,11 +1,16 @@
 """The operation set against element-level loop references and worked values."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ntensor
 from ntensor import (
     AllMasked,
     Axis,
@@ -507,18 +512,35 @@ def test_batched_det_inv_pivot_each_matrix_on_its_own():
             assert invs.partial_index({"c": c, "e": e}) == ops.inv(s, "d1", "d2")
 
 
-@pytest.mark.parametrize("odd", [
-    [[1.0, 2.0], [2.0, 4.0]],
-    [[0.0, 0.0], [0.0, 0.0]],
+@pytest.mark.parametrize("odd, message", [
+    ([[1.0, 2.0], [2.0, 4.0]], "pivot 0 below 1e-12 of matrix scale 4 at {b(2), e(1)}"),
+    ([[0.0, 0.0], [0.0, 0.0]], "zero matrix at {b(2), e(1)}"),
 ], ids=["rank1", "zero"])
-def test_one_singular_matrix_makes_the_batch_raise(odd):
+def test_one_singular_matrix_makes_the_batch_raise(odd, message):
+    # batch axes on both sides of the matrix axes; the odd matrix is the
+    # third in the stack, at b(2), e(1), and the message names it
     rng = np.random.default_rng(55)
-    arr = rng.standard_normal((3, 2, 2))
-    arr[1] = odd
+    arr = rng.standard_normal((3, 2, 2, 2))
+    arr[1, :, :, 0] = odd
+    t = NamedTensor.from_array(arr, ["b", "d1", "d2", "e"])
+    for op in (ops.det, ops.inv):
+        with pytest.raises(SingularMatrix) as err:
+            op(t, "d1", "d2")
+        assert str(err.value) == message
+        with pytest.raises(SingularMatrix) as err:
+            op(t.partial_index({"b": 2, "e": 1}), "d1", "d2")
+        assert str(err.value) == message.split(" at ")[0]
+
+
+def test_a_batch_raises_for_the_first_failing_column():
+    # b(2) fails at the second column, b(3) at the first: b(3) is named
+    arr = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
+                    [[0.0, 1.0], [0.0, 2.0]]])
     t = NamedTensor.from_array(arr, ["b", "d1", "d2"])
     for op in (ops.det, ops.inv):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix) as err:
             op(t, "d1", "d2")
+        assert str(err.value) == "pivot 0 below 1e-12 of matrix scale 2 at {b(3)}"
 
 
 def test_non_finite_matrix_rule():
@@ -541,6 +563,106 @@ def test_non_finite_matrix_rule():
             s = t.partial_index({"b": b})
             assert dets.get({"b": b}) == ops.det(s, "d1", "d2").item()
             assert invs.partial_index({"b": b}) == ops.inv(s, "d1", "d2")
+
+
+def _reference_stack(t: NamedTensor, rows: str, cols: str):
+    """``gauss_jordan_reference`` over each matrix of ``t``: the determinants
+    and inverses in ``ops.det``'s and ``ops.inv``'s layouts, and the indices
+    of the matrices it finds singular, with their messages."""
+    batch = t.shape.drop([rows, cols]).names
+    stack = t.to_array(list(batch) + [rows, cols])
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    dets, invs, singular = np.empty(len(flat)), np.empty(flat.shape), {}
+    for i, m in enumerate(flat):
+        try:
+            dets[i], inverse = H.gauss_jordan_reference(m.tolist())
+        except SingularMatrix as err:
+            dets[i], inverse, singular[i] = 1.0, np.eye(len(m)), str(err)
+        invs[i] = np.transpose(inverse)  # ops.inv puts entry (i, j) at rows(j), cols(i)
+    return dets, invs.reshape(stack.shape), list(batch), singular
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 17])
+def test_det_and_inv_match_the_scalar_reference_bit_for_bit(n):
+    # every kind, one matrix and stacks short and long against the row
+    # width, batch axes on both sides of the matrix axes, both (rows, cols)
+    # orders
+    rng = np.random.default_rng(3000 + n)
+    for kind in H.MATRIX_KINDS:
+        for dims in ({}, {"a": 3}, {"e": 2}, {"a": 2, "e": n + 9}):
+            count = math.prod(dims.values())
+            m = H.random_matrices(rng, kind, count, n)
+            names = [*dims] + ["d1", "d2"]
+            names.sort()
+            arr = np.moveaxis(m.reshape(tuple(dims.values()) + (n, n)), (-2, -1),
+                              (names.index("d1"), names.index("d2")))
+            t = NamedTensor.from_array(arr, names)
+            for rows, cols in (("d1", "d2"), ("d2", "d1")):
+                dets, invs, batch, singular = _reference_stack(t, rows, cols)
+                if singular:
+                    for op in (ops.det, ops.inv):
+                        with pytest.raises(SingularMatrix) as err:
+                            op(t, rows, cols)
+                        if not dims:
+                            assert str(err.value) == singular[0]
+                    # the same stack with its singular matrices made the identity
+                    flat = t.to_array(batch + [rows, cols]).reshape(count, n, n)
+                    flat[list(singular)] = np.eye(n)
+                    t_ok = NamedTensor.from_array(flat.reshape(invs.shape), batch + [rows, cols])
+                else:
+                    t_ok = t
+                got_det = ops.det(t_ok, rows, cols).to_array(batch)
+                got_inv = ops.inv(t_ok, rows, cols).to_array(batch + [rows, cols])
+                assert np.array_equal(got_det.reshape(-1).view(np.uint64),
+                                      dets.view(np.uint64)), (kind, dims, rows)
+                assert np.array_equal(got_inv.view(np.uint64),
+                                      invs.reshape(got_inv.shape).view(np.uint64)), (
+                    kind, dims, rows)
+
+
+# sha256 of ops.det and ops.inv over helpers.linalg_family, taken before the
+# elimination was rewritten to touch only live columns
+LINALG_DIGEST = "e7000bb015f0c6200e2faba6e632b52bb74918c8e5751e2d9fe56b37bcf398c9"
+
+
+def test_det_and_inv_bytes_are_pinned():
+    assert H.linalg_digest() == LINALG_DIGEST, H.pin_mismatch()
+
+
+def test_det_and_inv_bytes_are_pinned_under_avx2_kernels():
+    # the elimination uses only mul, sub, div, abs, ldexp/frexp and argmax,
+    # so its bits hold on a host whose OpenBLAS and numpy pick AVX2 kernels;
+    # only the AVX-512 targets enabled here are disabled
+    disabled = [name for name in H.enabled_dispatch() if "AVX512" in name or name == "X86_V4"]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join([str(Path(ntensor.__file__).parents[1]),
+                                           str(Path(__file__).parent)]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import helpers; print(helpers.numeric_environment()); print(helpers.linalg_digest())"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    environment, digest = result.stdout.splitlines()
+    assert not any(name in environment for name in disabled)
+    assert digest == LINALG_DIGEST, f"under {environment}"
+
+
+def test_det_builds_no_inverse():
+    # 4096 8×8 matrices: [m | I] is 4 MB; det keeps no [I] half
+    rng = np.random.default_rng(57)
+    t = NamedTensor.from_array(rng.standard_normal((4096, 8, 8)), ["b", "d1", "d2"])
+    aug_bytes = 4096 * 8 * 16 * 8
+    for op, bound in ((ops.det, 2.5), (ops.inv, 4.5)):
+        op(t, "d1", "d2")  # first-call allocations are not the op's
+        tracemalloc.start()
+        try:
+            op(t, "d1", "d2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * aug_bytes, (op.__name__, peak / aug_bytes)
 
 
 def test_standardize_examples():
