@@ -635,15 +635,12 @@ def _gauss_jordan(a: NamedTensor, rows: str, cols: str, inverse: bool) -> np.nda
         np.divide(pivot_row, pivot, out=row[live])
         g = aug[c, below]  # the multipliers
         update = products[: (width - c - 1) * g.size].reshape((width - c - 1,) + g.shape)
-        # The product's inner loop runs down a column.  For a stack, the
-        # pivot row is first repeated down the rows, as a broadcast product
+        # The pivot row is first repeated down the rows, so the product's
+        # inner loop runs down a whole column, where a broadcast product
         # would loop over the batch alone.
-        if count == 1:
-            np.multiply(row[live, None], g, out=update)
-        else:
-            repeated = np.broadcast_to(columns[live], update.shape[:2])
-            np.take(row, repeated, axis=0, out=update, mode="clip")  # in range: skip the check
-            np.multiply(update, g, out=update)
+        repeated = np.broadcast_to(columns[live], update.shape[:2])
+        np.take(row, repeated, axis=0, out=update, mode="clip")  # in range: skip the check
+        np.multiply(update, g, out=update)
         if not g.all():
             np.copyto(update, 0.0, where=g == 0.0)
         block = aug[live, below]
